@@ -47,14 +47,19 @@ void ConstraintSystem::addElementAllKinds(LocId Rho, EffVar V) {
 }
 
 void ConstraintSystem::addEdge(EffVar From, EffVar To) {
+  if (recordEdge(From, To))
+    Cond.Valid = false;
+}
+
+bool ConstraintSystem::recordEdge(EffVar From, EffVar To) {
   assert(From < Vars.size() && To < Vars.size() && "unknown effect variable");
   if (From == To)
-    return;
+    return false;
   Vars[From].OutEdges.push_back(To);
   if (TrackOrigins)
     Vars[From].EdgeOrigins.push_back(CurOrigin);
   ++NumEdges;
-  Cond.Valid = false;
+  return true;
 }
 
 void ConstraintSystem::addIntersection(InterOperand A, InterOperand B,
@@ -222,6 +227,8 @@ void ConstraintSystem::rebuildCondensation() const {
   Cond.EdgeTargets = std::move(CAdj.Targets);
   Cond.InterStart = std::move(InterStart);
   Cond.InterFeeds = std::move(InterFeeds);
+  Cond.Overflow.clear();
+  Cond.TopoOrdered = true;
   Cond.Sol = std::move(NewSol);
   Cond.Pending = std::move(NewPending);
   Cond.Dirty.assign(NumComps, 0);
@@ -241,6 +248,54 @@ void ConstraintSystem::rebuildCondensation() const {
       Worklist.push_back(C);
     }
   Cond.Valid = true;
+}
+
+bool ConstraintSystem::compEdgeExists(uint32_t From, uint32_t To) const {
+  const uint32_t *Begin = Cond.EdgeTargets.data() + Cond.EdgeStart[From];
+  const uint32_t *End = Cond.EdgeTargets.data() + Cond.EdgeStart[From + 1];
+  const std::vector<uint32_t> &Extra = overflowOf(From);
+  return std::find(Begin, End, To) != End ||
+         std::find(Extra.begin(), Extra.end(), To) != Extra.end();
+}
+
+bool ConstraintSystem::compReaches(uint32_t From, uint32_t To) const {
+  // Tarjan numbers components so that every condensation edge runs from
+  // a higher index to a lower one. While no overflow edge has broken
+  // that order, a path only descends: nothing below To can reach it.
+  const bool Ordered = Cond.TopoOrdered;
+  if (Ordered && From < To)
+    return false;
+  const uint32_t Epoch = nextEpoch();
+  std::vector<uint32_t> &Work = Cond.WorkScratch;
+  Work.clear();
+  auto Visit = [&](uint32_t C) {
+    if (Cond.VisitEpoch[C] == Epoch || (Ordered && C < To))
+      return;
+    Cond.VisitEpoch[C] = Epoch;
+    Work.push_back(C);
+  };
+  Visit(From);
+  while (!Work.empty()) {
+    uint32_t C = Work.back();
+    Work.pop_back();
+    if (C == To)
+      return true;
+    for (uint32_t E = Cond.EdgeStart[C]; E < Cond.EdgeStart[C + 1]; ++E)
+      Visit(Cond.EdgeTargets[E]);
+    for (uint32_t T : overflowOf(C))
+      Visit(T);
+  }
+  return false;
+}
+
+uint32_t ConstraintSystem::nextEpoch() const {
+  if (++Cond.Epoch == 0) {
+    // Epoch wrap: invalidate all stamps once, then restart at 1.
+    std::fill(Cond.VisitEpoch.begin(), Cond.VisitEpoch.end(), 0);
+    std::fill(Cond.SideEpoch.begin(), Cond.SideEpoch.end(), 0);
+    Cond.Epoch = 1;
+  }
+  return Cond.Epoch;
 }
 
 void ConstraintSystem::ensureCheckSatIndex() const {
@@ -347,13 +402,7 @@ bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
 /// condensation, sources pulled from the seed/element-operand indexes,
 /// epoch-stamped scratch instead of per-query allocation and clearing.
 bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
-  if (++Cond.Epoch == 0) {
-    // Epoch wrap: invalidate all stamps once, then restart at 1.
-    std::fill(Cond.VisitEpoch.begin(), Cond.VisitEpoch.end(), 0);
-    std::fill(Cond.SideEpoch.begin(), Cond.SideEpoch.end(), 0);
-    Cond.Epoch = 1;
-  }
-  const uint32_t Epoch = Cond.Epoch;
+  const uint32_t Epoch = nextEpoch();
   const uint32_t TC = Target < Vars.size() ? Cond.Comp[Target] : ~0u;
   std::vector<uint32_t> &Work = Cond.WorkScratch;
   Work.clear();
@@ -395,6 +444,8 @@ bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
     Work.pop_back();
     for (uint32_t E = Cond.EdgeStart[Comp]; E < Cond.EdgeStart[Comp + 1]; ++E)
       Visit(Cond.EdgeTargets[E]);
+    for (uint32_t T : overflowOf(Comp))
+      Visit(T);
     for (uint32_t F = Cond.InterStart[Comp]; F < Cond.InterStart[Comp + 1];
          ++F) {
       auto [I, Side] = Cond.InterFeeds[F];
@@ -446,9 +497,12 @@ void ConstraintSystem::propagate() {
     // Propagation is the solver's dominant cost; charge the budget per
     // pending element flushed, not per pop.
     budgetStep(Batch.size() + 1);
+    const std::vector<uint32_t> &Extra = overflowOf(C);
     for (uint32_t E : Batch) {
       for (uint32_t T = Cond.EdgeStart[C]; T < Cond.EdgeStart[C + 1]; ++T)
         insertElemComp(Cond.EdgeTargets[T], E);
+      for (uint32_t T : Extra)
+        insertElemComp(T, E);
       for (uint32_t F = Cond.InterStart[C]; F < Cond.InterStart[C + 1]; ++F) {
         auto [I, Side] = Cond.InterFeeds[F];
         const InterNode &Node = Inters[I];
@@ -594,22 +648,9 @@ void ConstraintSystem::applyAction(const CondAction &A) {
     // location's value flows into the (no longer separate) split one.
     Locs.unify(A.A, A.B, FlowDir::AToB);
     break;
-  case CondAction::Kind::AddEdge: {
-    addEdge(A.A, A.B);
-    // The new edge may fold components together; the rebuild carries and
-    // re-queues merged solutions. If the endpoints stay separate, flow
-    // the already-computed solution across the new edge explicitly.
-    ensureCondensed();
-    uint32_t CA = Cond.Comp[A.A], CB = Cond.Comp[A.B];
-    if (CA != CB) {
-      std::vector<uint32_t> Elems;
-      for (uint32_t E : Cond.Sol[CA])
-        Elems.push_back(E);
-      for (uint32_t E : Elems)
-        insertElemComp(CB, E);
-    }
+  case CondAction::Kind::AddEdge:
+    addFiredEdge(A.A, A.B);
     break;
-  }
   case CondAction::Kind::AddElemAllKinds:
     addElementAllKinds(A.A, A.B);
     insertElem(A.B, EffectElem(EffectKind::Read, Locs.find(A.A)).bits());
@@ -623,6 +664,40 @@ void ConstraintSystem::applyAction(const CondAction &A) {
     insertElem(A.B, EffectElem(EffectKind::Write, Locs.find(A.A)).bits());
     break;
   }
+}
+
+void ConstraintSystem::addFiredEdge(EffVar From, EffVar To) {
+  ensureCondensed();
+  if (!recordEdge(From, To))
+    return;
+  uint32_t CA = Cond.Comp[From], CB = Cond.Comp[To];
+  if (Baseline) {
+    // Identity components: the baseline rebuilds after every edge.
+    rebuildCondensation();
+  } else if (CA == CB || compEdgeExists(CA, CB)) {
+    // One component, or an edge the condensation already has (a failed
+    // confine? fires one action list from up to four conditionals):
+    // the condensation is unchanged.
+  } else if (compReaches(CB, CA)) {
+    // The edge closes a cycle and folds components together; the
+    // rebuild carries and re-queues the merged solutions.
+    rebuildCondensation();
+    CA = Cond.Comp[From];
+    CB = Cond.Comp[To];
+  } else {
+    // No cycle: the partition is unchanged, so the edge goes on the
+    // source component's overflow list until the next rebuild.
+    if (Cond.Overflow.empty())
+      Cond.Overflow.resize(Cond.NumComps);
+    Cond.Overflow[CA].push_back(CB);
+    Cond.TopoOrdered = Cond.TopoOrdered && CB < CA;
+  }
+  // If the endpoints stay separate, flow the already-computed solution
+  // across the new edge explicitly (inserting into CB leaves Sol[CA]
+  // untouched).
+  if (CA != CB)
+    for (uint32_t E : Cond.Sol[CA])
+      insertElemComp(CB, E);
 }
 
 void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {

@@ -44,8 +44,14 @@
 /// every variable on a plain-edge cycle provably has the same least
 /// solution, so solution sets, the propagation worklist, and CHECK-SAT's
 /// DFS all operate at component granularity. The condensation is built
-/// lazily (and rebuilt when fired conditionals add edges), with the
-/// adjacency packed into CSR arrays for locality. Setting
+/// lazily, with the adjacency packed into CSR arrays for locality. An
+/// edge added by a fired conditional keeps it valid unless the edge
+/// closes a cycle: Tarjan numbers components so every condensation edge
+/// descends, which answers some "does the target's component reach the
+/// source's?" checks in O(1) and prunes the others' DFS; an acyclic new edge
+/// goes on a per-component overflow list that propagation and CHECK-SAT
+/// walk beside the CSR, and only a cycle-closing edge forces a full
+/// rebuild (which folds the overflow edges back in). Setting
 /// LNA_SOLVER_BASELINE=1 in the environment disables the collapse and
 /// the CHECK-SAT source indexes (identity components, per-query full
 /// scans) -- the pre-optimization algorithm, kept for byte-identity
@@ -311,8 +317,9 @@ private:
 
   /// The lazily built SCC condensation both solvers run on. Solution
   /// sets live here, at component granularity; a rebuild (triggered by
-  /// new variables, edges, or intersections) carries them over by
-  /// unioning the old components that fold into each new one.
+  /// new variables, edges, or intersections, or during solving by a
+  /// fired edge that closes a cycle) carries them over by unioning the
+  /// old components that fold into each new one.
   struct Condensation {
     bool Valid = false;
     uint32_t NumComps = 0;
@@ -322,6 +329,14 @@ private:
     std::vector<uint32_t> EdgeStart, EdgeTargets;
     std::vector<uint32_t> InterStart;
     std::vector<std::pair<uint32_t, uint8_t>> InterFeeds;
+    /// Component edges added by fired conditionals since the last
+    /// rebuild, per source component; empty until the first one (the
+    /// CSR arrays are immutable between rebuilds; the next one re-reads
+    /// every edge from Vars).
+    std::vector<std::vector<uint32_t>> Overflow;
+    /// True while every edge, CSR and overflow, runs from a higher
+    /// component index to a lower one (Tarjan's numbering).
+    bool TopoOrdered = true;
     /// Solver state, per component.
     std::vector<SmallElemSet> Sol;
     std::vector<std::vector<uint32_t>> Pending;
@@ -354,6 +369,18 @@ private:
 
   void ensureCondensed() const;
   void rebuildCondensation() const;
+  /// True if the condensation has the component edge From -> To.
+  bool compEdgeExists(uint32_t From, uint32_t To) const;
+  /// True if component \p To is reachable from \p From. Charges no
+  /// budget steps, like the rebuild it stands in for.
+  bool compReaches(uint32_t From, uint32_t To) const;
+  /// Starts a new epoch of the stamped DFS scratch.
+  uint32_t nextEpoch() const;
+  /// Component \p C's overflow edges (none before the first one).
+  const std::vector<uint32_t> &overflowOf(uint32_t C) const {
+    static const std::vector<uint32_t> None;
+    return Cond.Overflow.empty() ? None : Cond.Overflow[C];
+  }
   void ensureCheckSatIndex() const;
   bool reachesBaseline(uint32_t CanonElem, EffVar Target) const;
   bool reachesCollapsed(uint32_t CanonElem, EffVar Target) const;
@@ -364,6 +391,11 @@ private:
   void recanonicalize();
   bool evalPremise(const CondConstraint &C) const;
   void applyAction(const CondAction &A);
+  /// Stores From <= To in Vars; false (and nothing stored) if From == To.
+  bool recordEdge(EffVar From, EffVar To);
+  /// From <= To added by a fired conditional, keeping the condensation
+  /// valid unless the edge closes a cycle.
+  void addFiredEdge(EffVar From, EffVar To);
   void computeScope(const std::vector<EffVar> &QueryVars);
 
   LocTable &Locs;

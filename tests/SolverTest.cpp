@@ -14,18 +14,25 @@
 //    operation sequences across the inline -> spilled boundary.
 //  * SCC pre-collapse is invisible: the collapsed solver and the
 //    LNA_SOLVER_BASELINE=1 uncollapsed solver produce byte-identical
-//    diagnostics, annotated programs, and lock-analysis reports on every
-//    committed fixture and regression reproducer, and identical
+//    diagnostics, annotated programs, lock-analysis reports, stats
+//    counters and metrics histograms on every committed fixture,
+//    regression reproducer and generated hard module, and identical
 //    solutions on constructed cyclic constraint graphs.
+//  * Edges added by fired conditionals keep the condensation valid
+//    unless they close a cycle: each shape of fired edge gives the
+//    baseline's solutions and CHECK-SAT answers, and a hard module is
+//    condensed once per solve() instead of once per failed confine?.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Session.h"
 
+#include "corpus/Corpus.h"
 #include "effects/ConstraintSystem.h"
 #include "effects/SmallElemSet.h"
 #include "lang/AstPrinter.h"
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
@@ -293,24 +300,208 @@ TEST(SolverCollapse, CycleMembersShareOneSolution) {
 }
 
 //===----------------------------------------------------------------------===//
-// Baseline-vs-optimized byte identity over the committed fixtures.
+// Fired edges keep the condensation valid unless they close a cycle.
+//===----------------------------------------------------------------------===//
+
+/// Counts the solver-condense spans (condensation builds) one call
+/// records.
+template <typename Fn> size_t countCondenseSpans(Fn &&Run) {
+  TraceSink Sink;
+  {
+    TraceScope Scope(Sink);
+    Run();
+  }
+  EXPECT_EQ(Sink.numDropped(), 0u);
+  std::string Json = Sink.renderChromeJSON();
+  const std::string Needle = "{\"name\":\"solver-condense\"";
+  size_t Count = 0;
+  for (size_t Pos = Json.find(Needle); Pos != std::string::npos;
+       Pos = Json.find(Needle, Pos + 1))
+    ++Count;
+  return Count;
+}
+
+// Twelve variables whose Tarjan components are known:
+//
+//   v0 -> v1 -> v2 -> v0   one component, index 0
+//   v3 -> v4               v4 is index 1, v3 index 2
+//   v5 -> v6               v6 is index 3, v5 index 4
+//   v7                     index 5: the trigger, seeded with read(T)
+//   v8, v9                 indexes 6, 7; (v8 n {read(l3)}) <= v9
+//   v10 -> v11             v11 is index 8, v10 index 9
+//
+// v0..v6 each carry one seed. Each action list in Round1 is one
+// conditional testing T in v7, so all of them fire in the first round.
+// A nonempty Round2 becomes a conditional testing U in v11, and the
+// last Round1 list also puts U in v10: it reaches v11 only through
+// propagation, so Round2 fires in the second round.
+struct FiredEdgeCase {
+  const char *Name;
+  std::vector<std::vector<CondAction>> Round1;
+  std::vector<CondAction> Round2;
+  size_t ExpectedCondenses;
+};
+
+void PrintTo(const FiredEdgeCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
+void buildFiredEdgeSystem(LocTable &Locs, ConstraintSystem &CS,
+                          const FiredEdgeCase &Case) {
+  std::vector<LocId> L;
+  for (int I = 0; I < 7; ++I)
+    L.push_back(Locs.fresh());
+  LocId T = Locs.fresh(), U = Locs.fresh();
+  for (int I = 0; I < 12; ++I)
+    CS.makeVar();
+  for (auto [From, To] : std::vector<std::pair<EffVar, EffVar>>{
+           {0, 1}, {1, 2}, {2, 0}, {3, 4}, {5, 6}, {10, 11}})
+    CS.addEdge(From, To);
+  for (EffVar V = 0; V < 7; ++V)
+    CS.addElement(static_cast<EffectKind>(V % 3), L[V], V);
+  CS.addElement(EffectKind::Read, T, 7);
+  CS.addIntersection(InterOperand::var(8),
+                     InterOperand::elem(EffectElem(EffectKind::Read, L[3])),
+                     9);
+  auto AddConditional = [&](LocId Rho, EffVar Var,
+                            std::vector<CondAction> Actions) {
+    CondConstraint C;
+    C.P = CondConstraint::Premise::LocInVar;
+    C.Rho = Rho;
+    C.Var = Var;
+    C.Actions = std::move(Actions);
+    CS.addConditional(std::move(C));
+  };
+  for (size_t I = 0; I < Case.Round1.size(); ++I) {
+    std::vector<CondAction> Actions = Case.Round1[I];
+    if (!Case.Round2.empty() && I + 1 == Case.Round1.size())
+      Actions.push_back({CondAction::Kind::AddElemAllKinds, U, 10});
+    AddConditional(T, 7, std::move(Actions));
+  }
+  if (!Case.Round2.empty())
+    AddConditional(U, 11, Case.Round2);
+}
+
+/// Solutions of every variable plus every CHECK-SAT answer, after solving.
+std::string firedEdgeOutcome(const FiredEdgeCase &Case, bool Baseline,
+                             size_t *Condenses) {
+  if (Baseline)
+    setenv("LNA_SOLVER_BASELINE", "1", 1);
+  else
+    unsetenv("LNA_SOLVER_BASELINE");
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  unsetenv("LNA_SOLVER_BASELINE");
+  buildFiredEdgeSystem(Locs, CS, Case);
+  size_t N = countCondenseSpans([&] { CS.solve(); });
+  if (Condenses)
+    *Condenses = N;
+  std::string Out;
+  for (EffVar V = 0; V < CS.numVars(); ++V)
+    Out += "v" + std::to_string(V) + " " + CS.solutionToString(V) + "\n";
+  for (LocId Rho = 0; Rho < Locs.size(); ++Rho)
+    for (EffVar V = 0; V < CS.numVars(); ++V)
+      for (EffectKind K :
+           {EffectKind::Read, EffectKind::Write, EffectKind::Alloc})
+        Out += CS.reaches(K, Rho, V) ? '1' : '0';
+  return Out + "\n";
+}
+
+class SolverFiredEdge : public ::testing::TestWithParam<FiredEdgeCase> {};
+
+TEST_P(SolverFiredEdge, MatchesBaselineAndRebuildsOnlyOnCycles) {
+  const FiredEdgeCase &Case = GetParam();
+  size_t Condenses = 0;
+  std::string Collapsed = firedEdgeOutcome(Case, false, &Condenses);
+  std::string Base = firedEdgeOutcome(Case, true, nullptr);
+  EXPECT_EQ(Collapsed, Base);
+  EXPECT_EQ(Condenses, Case.ExpectedCondenses);
+}
+
+using AK = CondAction::Kind;
+const FiredEdgeCase FiredEdgeCases[] = {
+    // v0 -> v2: both ends in component 0.
+    {"InsideOneComponent", {{{AK::AddEdge, 0, 2}}}, {}, 1},
+    // v5 -> v4: component 4 to 1, downhill in Tarjan order.
+    {"Downhill", {{{AK::AddEdge, 5, 4}}}, {}, 1},
+    // v4 -> v8: component 1 to 6, uphill; v8 has no path back. Then
+    // l0 enters v3 and must reach v8 by propagation along the overflow
+    // edge; v8 feeds the intersection, which passes read(l3) to v9.
+    {"UphillNoPathBack",
+     {{{AK::AddEdge, 4, 8}, {AK::AddElemAllKinds, 0, 3}}},
+     {},
+     1},
+    // Round 1 adds v4 -> v5 (uphill, no path back) and v4 -> v8. Round 2
+    // adds v6 -> v3, which closes v3 -> v4 -> v5 -> v6 -> v3 through the
+    // first overflow edge: a rebuild folds four components into one and
+    // must re-queue the merged set, since v5's and v6's seeds never
+    // flowed along v4 -> v8.
+    {"ClosesCycleThroughOverflowEdge",
+     {{{AK::AddEdge, 4, 5}, {AK::AddEdge, 4, 8}}},
+     {{AK::AddEdge, 6, 3}},
+     2},
+    // The same edge from several conditionals, as a failed confine?
+    // fires its action list from up to four, plus v3 -> v4, which the
+    // CSR already has.
+    {"RepeatsExistingEdge",
+     {{{AK::AddEdge, 5, 4}, {AK::AddEdge, 3, 4}},
+      {{AK::AddEdge, 5, 4}, {AK::AddEdge, 3, 4}},
+      {{AK::AddEdge, 5, 4}}},
+     {},
+     1},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SolverFiredEdge, ::testing::ValuesIn(FiredEdgeCases),
+    [](const ::testing::TestParamInfo<FiredEdgeCase> &Info) {
+      return std::string(Info.param.Name);
+    });
+
+//===----------------------------------------------------------------------===//
+// Baseline-vs-optimized byte identity over the committed fixtures and
+// generated hard modules.
 //===----------------------------------------------------------------------===//
 
 // Everything user-visible one analysis produces, rendered to a string:
-// success/failure, diagnostics, the annotated program, and the lock
-// report under both update regimes, in both pipeline modes.
+// success/failure, diagnostics, the annotated program, stats counters,
+// metrics histograms, and the lock report under both update regimes, in
+// both pipeline modes. The two counters that measure solver work at its
+// own granularity (propagated-elems, checksat-visits: per variable in the
+// baseline, per component when collapsed) are left out.
 std::string analysisFingerprint(const std::string &Source) {
+  auto SolverGranular = [](const std::string &Name) {
+    return Name == "propagated-elems" || Name == "checksat-visits";
+  };
   std::string F;
   for (int Mode = 0; Mode < 2; ++Mode) {
     PipelineOptions Opts;
     Opts.Mode = Mode ? PipelineMode::CheckAnnotations : PipelineMode::Infer;
     AnalysisSession S(Opts);
-    bool Ok = S.run(Source);
+    MetricsRegistry Metrics;
+    bool Ok;
+    {
+      MetricsScope Scope(Metrics);
+      Ok = S.run(Source);
+    }
     F += Mode ? "[check]\n" : "[infer]\n";
     F += Ok ? "ok\n" : "failed\n";
     F += S.diags().render();
     if (S.failure())
       F += S.failure()->Phase + ": " + S.failure()->Message + "\n";
+    for (const PhaseStats &P : S.stats().phases())
+      for (const auto &[Name, Value] : P.Counters)
+        if (!SolverGranular(Name))
+          F += P.Name + "/" + Name + " " + std::to_string(Value) + "\n";
+    for (const auto &[Name, H] : Metrics.histograms()) {
+      if (SolverGranular(Name))
+        continue;
+      F += Name + " n=" + std::to_string(H.count()) +
+           " sum=" + std::to_string(H.sum()) +
+           " min=" + std::to_string(H.min()) +
+           " max=" + std::to_string(H.max()) + " buckets";
+      for (unsigned B = 0; B < Histogram::NumBuckets; ++B)
+        if (H.buckets()[B])
+          F += " " + std::to_string(B) + ":" + std::to_string(H.buckets()[B]);
+      F += "\n";
+    }
     if (S.hasResult()) {
       AstPrinter P(S.context());
       F += P.print(S.result().Analyzed);
@@ -368,5 +559,37 @@ std::string identityName(const ::testing::TestParamInfo<std::string> &Info) {
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, SolverIdentityCorpus,
                          ::testing::ValuesIn(identityFiles()), identityName);
+
+// The committed fixtures are too small to fire many AddEdge actions;
+// generated hard modules fire hundreds (one per failed confine?).
+class SolverIdentityGenerated : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SolverIdentityGenerated, BaselineAndCollapsedReportsAreIdentical) {
+  std::string Source =
+      generateModule(ModuleCategory::Hard, GetParam(), 200).Source;
+  unsetenv("LNA_SOLVER_BASELINE");
+  std::string Optimized = analysisFingerprint(Source);
+  setenv("LNA_SOLVER_BASELINE", "1", 1);
+  std::string Baseline = analysisFingerprint(Source);
+  unsetenv("LNA_SOLVER_BASELINE");
+  EXPECT_NE(Optimized.find("inference/cond-firings"), std::string::npos);
+  EXPECT_EQ(Optimized, Baseline);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hard200, SolverIdentityGenerated,
+                         ::testing::Values(1, 2, 3));
+
+TEST(SolverFiredEdgeRegression, HardModuleCondensesOncePerSolve) {
+  // Regression: every fired AddEdge that added a component edge used to
+  // rebuild the whole condensation, close to 300 times on a 160 KB hard
+  // module. Inference runs one solve(), and no confine? edge in these
+  // modules closes a cycle.
+  unsetenv("LNA_SOLVER_BASELINE");
+  std::string Source = generateModule(ModuleCategory::Hard, 7, 200).Source;
+  AnalysisSession S(PipelineOptions{});
+  size_t Condenses = countCondenseSpans([&] { ASSERT_TRUE(S.run(Source)); });
+  EXPECT_GT(S.stats().counter("inference", "cond-firings"), 100u);
+  EXPECT_EQ(Condenses, 1u);
+}
 
 } // namespace
