@@ -184,6 +184,33 @@ void ConstraintSystem::rebuildCondensation() const {
         InterFeeds[Fill[NewComp[V]]++] = F;
   }
 
+  // Propagation's feeds, grouped per component by side (see ProbeStart),
+  // and one representative variable per component for the holder index.
+  std::vector<uint32_t> ProbeStart, ProbeFeeds;
+  std::vector<EffVar> Rep;
+  if (!Baseline) {
+    auto Slot = [&](uint32_t V, std::pair<uint32_t, uint8_t> F) {
+      const InterNode &N = Inters[F.first];
+      const InterOperand &Other = F.second == 0 ? N.B : N.A;
+      return 3 * NewComp[V] +
+             (Other.K == InterOperand::Kind::Elem ? 2u : F.second);
+    };
+    ProbeStart.assign(3 * NumComps + 1, 0);
+    for (uint32_t V = 0; V < NumVars; ++V)
+      for (auto F : Vars[V].OutInters)
+        ++ProbeStart[Slot(V, F) + 1];
+    for (uint32_t S = 0; S < 3 * NumComps; ++S)
+      ProbeStart[S + 1] += ProbeStart[S];
+    ProbeFeeds.resize(ProbeStart.back());
+    std::vector<uint32_t> Fill(ProbeStart.begin(), ProbeStart.end() - 1);
+    for (uint32_t V = 0; V < NumVars; ++V)
+      for (auto F : Vars[V].OutInters)
+        ProbeFeeds[Fill[Slot(V, F)]++] = F.first;
+    Rep.assign(NumComps, InvalidEffVar);
+    for (uint32_t V = NumVars; V-- > 0;)
+      Rep[NewComp[V]] = V;
+  }
+
   // Carry solver state across the rebuild. Structure only grows, so all
   // members of an old component land in one new component; a new
   // component folding several old ones together re-queues its whole
@@ -227,6 +254,9 @@ void ConstraintSystem::rebuildCondensation() const {
   Cond.EdgeTargets = std::move(CAdj.Targets);
   Cond.InterStart = std::move(InterStart);
   Cond.InterFeeds = std::move(InterFeeds);
+  Cond.ProbeStart = std::move(ProbeStart);
+  Cond.ProbeFeeds = std::move(ProbeFeeds);
+  Cond.Rep = std::move(Rep);
   Cond.Overflow.clear();
   Cond.TopoOrdered = true;
   Cond.Sol = std::move(NewSol);
@@ -487,6 +517,8 @@ void ConstraintSystem::insertElemComp(uint32_t C, uint32_t ElemBits) {
 void ConstraintSystem::propagate() {
   Span Sp("propagate");
   ensureCondensed();
+  if (!Baseline)
+    syncHolders();
   std::vector<uint32_t> Batch;
   while (!Worklist.empty()) {
     uint32_t C = Worklist.back();
@@ -503,15 +535,104 @@ void ConstraintSystem::propagate() {
         insertElemComp(Cond.EdgeTargets[T], E);
       for (uint32_t T : Extra)
         insertElemComp(T, E);
-      for (uint32_t F = Cond.InterStart[C]; F < Cond.InterStart[C + 1]; ++F) {
-        auto [I, Side] = Cond.InterFeeds[F];
-        const InterNode &Node = Inters[I];
-        const InterOperand &Other = Side == 0 ? Node.B : Node.A;
-        if (operandContains(Other, E))
-          insertElemComp(Cond.Comp[Node.Out], E);
-      }
+      flushToIntersections(C, E);
     }
   }
+}
+
+void ConstraintSystem::probe(uint32_t Inter, const InterOperand &Other,
+                             uint32_t Elem) {
+  ++Stats.InterProbes;
+  if (operandContains(Other, Elem))
+    insertElemComp(Cond.Comp[Inters[Inter].Out], Elem);
+}
+
+void ConstraintSystem::flushToIntersections(uint32_t C, uint32_t E) {
+  if (Baseline) {
+    // Every feed probes its opposite operand.
+    for (uint32_t F = Cond.InterStart[C]; F < Cond.InterStart[C + 1]; ++F) {
+      auto [I, Side] = Cond.InterFeeds[F];
+      probe(I, Side == 0 ? Inters[I].B : Inters[I].A, E);
+    }
+    return;
+  }
+  const uint32_t *Start = Cond.ProbeStart.data() + 3 * C;
+  for (uint8_t S = 0; S < 2; ++S) {
+    const uint32_t Feeds = Start[S + 1] - Start[S];
+    if (Feeds == 0)
+      continue;
+    const uint8_t O = 1 - S;
+    if (Feeds <= Holders.FeedSum[O][E]) {
+      // C's own side-S feeds are the cheaper side: probe their opposite
+      // operands, as the baseline does.
+      for (uint32_t F = Start[S]; F < Start[S + 1]; ++F) {
+        const InterNode &N = Inters[Cond.ProbeFeeds[F]];
+        probe(Cond.ProbeFeeds[F], S == 0 ? N.B : N.A, E);
+      }
+    } else {
+      // Only intersections whose other side has already flushed E can
+      // newly gain it; the rest are found when that side flushes it.
+      // Probe the side-S operand of each holder's side-O feeds.
+      for (uint32_t Node = Holders.Head[O][E]; Node != HolderIndex::None;
+           Node = Holders.Nodes[Node].second) {
+        const uint32_t H = Cond.Comp[Holders.Nodes[Node].first];
+        const uint32_t *HStart = Cond.ProbeStart.data() + 3 * H;
+        for (uint32_t F = HStart[O]; F < HStart[O + 1]; ++F) {
+          const InterNode &N = Inters[Cond.ProbeFeeds[F]];
+          probe(Cond.ProbeFeeds[F], S == 0 ? N.A : N.B, E);
+        }
+      }
+    }
+    recordHolder(C, S, E, Feeds);
+  }
+  // An element operand never flushes, so these feeds always probe it.
+  for (uint32_t F = Start[2]; F < Start[3]; ++F) {
+    const InterNode &N = Inters[Cond.ProbeFeeds[F]];
+    probe(Cond.ProbeFeeds[F],
+          N.A.K == InterOperand::Kind::Elem ? N.A : N.B, E);
+  }
+}
+
+void ConstraintSystem::recordHolder(uint32_t C, uint8_t Side, uint32_t E,
+                                    uint32_t Feeds) {
+  Holders.Nodes.emplace_back(Cond.Rep[C], Holders.Head[Side][E]);
+  Holders.Head[Side][E] = static_cast<uint32_t>(Holders.Nodes.size() - 1);
+  uint32_t &Sum = Holders.FeedSum[Side][E];
+  Sum = Sum + Feeds < Sum ? ~0u : Sum + Feeds; // saturate
+}
+
+void ConstraintSystem::syncHolders() {
+  // Every canonical element has bits below 4 * (number of locations).
+  const size_t Keys = size_t(4) * Locs.size();
+  for (uint8_t S = 0; S < 2; ++S)
+    if (Holders.Head[S].size() < Keys) {
+      Holders.Head[S].resize(Keys, HolderIndex::None);
+      Holders.FeedSum[S].resize(Keys, 0);
+    }
+  // A new intersection can give a component feeds for elements it
+  // flushed without any, which the index never recorded. Recording every
+  // element each feeding component now holds keeps the invariant (each
+  // flushed element recorded, each recorded one held); elements still
+  // pending are just recorded twice.
+  const uint32_t NumInters = static_cast<uint32_t>(Inters.size());
+  if (Holders.Propagated && Holders.NumInters != NumInters) {
+    Holders.Nodes.clear();
+    for (uint8_t S = 0; S < 2; ++S) {
+      std::fill(Holders.Head[S].begin(), Holders.Head[S].end(),
+                HolderIndex::None);
+      std::fill(Holders.FeedSum[S].begin(), Holders.FeedSum[S].end(), 0);
+    }
+    for (uint32_t C = 0; C < Cond.NumComps; ++C)
+      for (uint8_t S = 0; S < 2; ++S) {
+        const uint32_t Feeds =
+            Cond.ProbeStart[3 * C + S + 1] - Cond.ProbeStart[3 * C + S];
+        if (Feeds != 0)
+          for (uint32_t E : Cond.Sol[C])
+            recordHolder(C, S, E, Feeds);
+      }
+  }
+  Holders.NumInters = NumInters;
+  Holders.Propagated = true;
 }
 
 void ConstraintSystem::recanonicalize() {

@@ -51,11 +51,29 @@
 /// source's?" checks in O(1) and prunes the others' DFS; an acyclic new edge
 /// goes on a per-component overflow list that propagation and CHECK-SAT
 /// walk beside the CSR, and only a cycle-closing edge forces a full
-/// rebuild (which folds the overflow edges back in). Setting
-/// LNA_SOLVER_BASELINE=1 in the environment disables the collapse and
-/// the CHECK-SAT source indexes (identity components, per-query full
-/// scans) -- the pre-optimization algorithm, kept for byte-identity
-/// diffs and the bench_solver before/after comparison.
+/// rebuild (which folds the overflow edges back in).
+///
+/// Propagation's intersection feeds are output-sensitive. A hub such as
+/// the globals environment feeds one side of every function's (Down)
+/// intersection, so probing the opposite operand of each of its feeds for
+/// every element it flushes costs (elements x functions), nearly all
+/// misses. Instead a per-element, per-side *holder index* lists the
+/// components that have already flushed the element and feed that side,
+/// with their summed feed counts. A component flushing an element on
+/// side s either probes its own side-s feeds or walks the side-(1-s)
+/// holders' feeds, whichever is smaller, then joins the side-s holders.
+/// Each (intersection, element) pair is thus found at the later of its
+/// two sides' first flush, so the least solution is unchanged. Holders
+/// are recorded by a representative variable, so condensation rebuilds
+/// (which only grow components) never invalidate the index. Feeds whose
+/// opposite operand is a constant element keep direct probing: an
+/// element operand never flushes.
+///
+/// Setting LNA_SOLVER_BASELINE=1 in the environment disables the
+/// collapse, the CHECK-SAT source indexes (identity components,
+/// per-query full scans) and the holder index (every feed probed) -- the
+/// pre-optimization algorithm, kept for byte-identity diffs and the
+/// bench_solver before/after comparison.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -174,6 +192,9 @@ struct SolverStats {
   uint64_t CondFirings = 0;
   uint64_t CheckSatQueries = 0;
   uint64_t CheckSatVisited = 0;
+  /// Intersection-operand membership tests made by propagation; not
+  /// reported, kept for the holder index's regression tests.
+  uint64_t InterProbes = 0;
 };
 
 /// The normal-form effect constraint graph and its solvers.
@@ -329,6 +350,16 @@ private:
     std::vector<uint32_t> EdgeStart, EdgeTargets;
     std::vector<uint32_t> InterStart;
     std::vector<std::pair<uint32_t, uint8_t>> InterFeeds;
+    /// Propagation's copy of the feeds (CHECK-SAT keeps InterFeeds'
+    /// order), as intersection indexes grouped per component C into
+    /// ProbeStart[3C] side-0 feeds, [3C + 1] side-1 feeds (both with a
+    /// variable opposite operand) and [3C + 2] feeds whose opposite
+    /// operand is an element, ending at ProbeStart[3C + 3]. Empty in
+    /// baseline mode.
+    std::vector<uint32_t> ProbeStart;
+    std::vector<uint32_t> ProbeFeeds;
+    /// A member variable of each component: the holder index's handle.
+    std::vector<EffVar> Rep;
     /// Component edges added by fired conditionals since the last
     /// rebuild, per source component; empty until the first one (the
     /// CSR arrays are immutable between rebuilds; the next one re-reads
@@ -357,6 +388,24 @@ private:
     std::vector<uint8_t> SideMask;    ///< valid when SideEpoch == Epoch
     std::vector<uint32_t> WorkScratch;
     uint32_t Epoch = 0;
+  };
+
+  /// Propagation's intersection-feed index, keyed by canonical element
+  /// bits and side: the components (by representative variable, so the
+  /// index survives condensation rebuilds) that have flushed the element
+  /// and feed that side of some intersection, and their summed side feed
+  /// counts. Flat: one node array threaded into per-element lists. Keys of
+  /// merged-away locations go stale but are never queried again: the
+  /// components holding them re-flush under the new canonical key.
+  struct HolderIndex {
+    static constexpr uint32_t None = ~0u;
+    std::vector<uint32_t> Head[2];    ///< elem bits -> first node
+    std::vector<uint32_t> FeedSum[2]; ///< elem bits -> summed feed counts
+    std::vector<std::pair<EffVar, uint32_t>> Nodes; ///< (rep, next node)
+    /// Intersections when the index was last synced, and whether any
+    /// propagation has run (see syncHolders).
+    uint32_t NumInters = 0;
+    bool Propagated = false;
   };
 
   uint32_t canon(uint32_t ElemBits) const {
@@ -388,6 +437,19 @@ private:
   void insertElem(EffVar V, uint32_t ElemBits);
   void insertElemComp(uint32_t C, uint32_t ElemBits);
   void propagate();
+  /// Probes component \p C's intersection feeds for a just-flushed
+  /// \p Elem, through the holder index unless in baseline mode.
+  void flushToIntersections(uint32_t C, uint32_t Elem);
+  /// Tests one intersection operand for \p Elem and, on a hit, puts
+  /// \p Elem in the intersection's output.
+  void probe(uint32_t Inter, const InterOperand &Other, uint32_t Elem);
+  /// Sizes the holder index for every location and, if intersections
+  /// were added since the last propagation, re-derives it from the
+  /// current solutions.
+  void syncHolders();
+  /// Adds component \p C, with \p Feeds feeds on side \p Side, to the
+  /// side's holders of \p Elem.
+  void recordHolder(uint32_t C, uint8_t Side, uint32_t Elem, uint32_t Feeds);
   void recanonicalize();
   bool evalPremise(const CondConstraint &C) const;
   void applyAction(const CondAction &A);
@@ -407,6 +469,7 @@ private:
   uint64_t NumSeeds = 0;
   mutable SolverStats Stats;
   mutable Condensation Cond;
+  HolderIndex Holders;
   bool Baseline = false; ///< LNA_SOLVER_BASELINE=1: no collapse, no index
   bool TrackOrigins = false;
   Origin CurOrigin{};

@@ -68,14 +68,19 @@ public:
       throw AnalysisAbort(FailureKind::MemoryCap,
                           "arena byte cap of " + std::to_string(ByteLimit) +
                               " bytes exceeded");
-    // Size and Align are <= 2^30 and Offset <= SlabSize <= 2^30, so the
+    // Size and Align are <= 2^30, so a slab holds at most 2^31 bytes and
+    // Offset <= SlabSize <= 2^31; the padding is below Align, so the
     // aligned offset and end-of-allocation arithmetic cannot wrap either.
-    size_t Aligned = (Offset + Align - 1) & ~(Align - 1);
+    // The padding aligns the absolute address: a slab itself is only
+    // aligned to alignof(std::max_align_t).
+    size_t Aligned = Slabs.empty() ? 0 : Offset + paddingAt(Offset, Align);
     if (Slabs.empty() || Aligned + Size > SlabSize) {
-      size_t NewSlab = Size > DefaultSlabSize ? Size : DefaultSlabSize;
+      // Room for the worst-case padding in front of the allocation.
+      size_t Needed = Size + Align - 1;
+      size_t NewSlab = Needed > DefaultSlabSize ? Needed : DefaultSlabSize;
       Slabs.push_back(std::make_unique<char[]>(NewSlab));
       SlabSize = NewSlab;
-      Aligned = 0;
+      Aligned = paddingAt(0, Align);
     }
     Offset = Aligned + Size;
     TotalAllocated += Size;
@@ -93,6 +98,13 @@ public:
 
 private:
   static constexpr size_t DefaultSlabSize = 64 * 1024;
+
+  /// Bytes to skip after \p Off in the current slab so the next address
+  /// is a multiple of \p Align.
+  size_t paddingAt(size_t Off, size_t Align) const {
+    uintptr_t Addr = reinterpret_cast<uintptr_t>(Slabs.back().get()) + Off;
+    return static_cast<size_t>(-Addr & (Align - 1));
+  }
 
   std::vector<std::unique_ptr<char[]>> Slabs;
   size_t SlabSize = 0;

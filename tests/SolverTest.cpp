@@ -22,6 +22,13 @@
 //    unless they close a cycle: each shape of fired edge gives the
 //    baseline's solutions and CHECK-SAT answers, and a hard module is
 //    condensed once per solve() instead of once per failed confine?.
+//  * Intersection feeds go through the per-element holder index: hub
+//    components, variables feeding both sides, element operands,
+//    unification between rounds, cycle-closing fired edges, backwards
+//    scopes and intersections added after a solve all give the
+//    baseline's solutions (and, where no conditional fires, CHECK-SAT's
+//    answers), and a hard module's probes stay below its propagated
+//    elements.
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +45,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -456,6 +464,273 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 //===----------------------------------------------------------------------===//
+// Intersection feeds through the holder index.
+//===----------------------------------------------------------------------===//
+
+// Each shape builds and solves one system and returns the variables
+// whose solved sets CHECK-SAT must reproduce: none where a conditional
+// fires, since CHECK-SAT ignores conditionals.
+using HolderShape = std::vector<EffVar> (*)(LocTable &, ConstraintSystem &);
+
+std::vector<EffVar> allVars(const ConstraintSystem &CS) {
+  std::vector<EffVar> Vs(CS.numVars());
+  for (EffVar V = 0; V < CS.numVars(); ++V)
+    Vs[V] = V;
+  return Vs;
+}
+
+// A globals-environment-like hub H and a shared type variable T both sit
+// in the visible union of 120 (Down)-style intersections
+// (body_F n (H u T u param_F)) <= latent_F. The worklist pops the
+// last-seeded component first, so elements reach H both before the
+// bodies flush (from a variable created after them) and after (from one
+// created before them and from H's own seeds); bodies get elements
+// directly and, for two of them, through H.
+constexpr EffVar hubLatent(uint32_t F) { return 5 + 3 * F; }
+
+std::vector<EffVar> hubShape(LocTable &Locs, ConstraintSystem &CS) {
+  std::vector<LocId> L;
+  for (int I = 0; I < 40; ++I)
+    L.push_back(Locs.fresh());
+  EffVar H = CS.makeVar(), T = CS.makeVar(), Early = CS.makeVar();
+  CS.addEdge(Early, H);
+  for (int I = 0; I < 10; ++I)
+    CS.addElementAllKinds(L[30 + I], Early);
+  for (int I = 0; I < 20; ++I)
+    CS.addElementAllKinds(L[I], H);
+  for (int I = 0; I < 40; I += 3)
+    CS.addElement(EffectKind::Write, L[I], T);
+  std::vector<EffVar> Bodies;
+  for (uint32_t F = 0; F < 120; ++F) {
+    EffVar Body = CS.makeVar(), Param = CS.makeVar(), Latent = CS.makeVar();
+    assert(Latent == hubLatent(F));
+    Bodies.push_back(Body);
+    CS.addElement(static_cast<EffectKind>(F % 3), L[F % 40], Body);
+    CS.addElement(EffectKind::Write, L[(F * 7) % 40], Body);
+    if (F % 5 == 0)
+      CS.addElement(EffectKind::Read, L[F % 40], Param);
+    CS.addIntersection(InterOperand::var(Body),
+                       InterOperand::varUnion({H, T, Param}), Latent);
+  }
+  CS.addEdge(H, Bodies[0]);
+  CS.addEdge(H, Bodies[1]);
+  EffVar Late = CS.makeVar();
+  CS.addEdge(Late, H);
+  for (int I = 20; I < 30; ++I)
+    CS.addElementAllKinds(L[I], Late);
+  return allVars(CS);
+}
+
+// One variable on both sides of an intersection, directly and through
+// a union, plus a component (a two-variable cycle) doing the same.
+std::vector<EffVar> bothSidesShape(LocTable &Locs, ConstraintSystem &CS) {
+  LocId A = Locs.fresh(), B = Locs.fresh(), C = Locs.fresh();
+  EffVar V = CS.makeVar(), W = CS.makeVar(), Out1 = CS.makeVar(),
+         Out2 = CS.makeVar(), P = CS.makeVar(), Q = CS.makeVar(),
+         Out3 = CS.makeVar();
+  CS.addElementAllKinds(A, V);
+  CS.addElement(EffectKind::Read, B, W);
+  CS.addElement(EffectKind::Read, B, V);
+  CS.addIntersection(InterOperand::var(V), InterOperand::var(V), Out1);
+  CS.addIntersection(InterOperand::var(V), InterOperand::varUnion({W, V}),
+                     Out2);
+  CS.addEdge(P, Q);
+  CS.addEdge(Q, P);
+  CS.addElement(EffectKind::Write, C, P);
+  CS.addIntersection(InterOperand::var(Q), InterOperand::varUnion({W, P}),
+                     Out3);
+  return allVars(CS);
+}
+
+// Element operands: on either side, against a variable and a union, and
+// a constant intersection of two elements.
+std::vector<EffVar> elemOperandShape(LocTable &Locs, ConstraintSystem &CS) {
+  LocId A = Locs.fresh(), B = Locs.fresh();
+  EffVar V = CS.makeVar(), W = CS.makeVar(), Out1 = CS.makeVar(),
+         Out2 = CS.makeVar(), Out3 = CS.makeVar(), Out4 = CS.makeVar();
+  CS.addElementAllKinds(A, V);
+  CS.addElement(EffectKind::Write, B, W);
+  CS.addIntersection(InterOperand::var(V),
+                     InterOperand::elem(EffectElem(EffectKind::Read, A)),
+                     Out1);
+  CS.addIntersection(InterOperand::elem(EffectElem(EffectKind::Write, B)),
+                     InterOperand::varUnion({V, W}), Out2);
+  CS.addIntersection(InterOperand::elem(EffectElem(EffectKind::Alloc, A)),
+                     InterOperand::elem(EffectElem(EffectKind::Alloc, A)),
+                     Out3);
+  // A variable that feeds an element-operand intersection and a hub-like
+  // union one.
+  CS.addIntersection(InterOperand::var(W), InterOperand::varUnion({V, W}),
+                     Out4);
+  return allVars(CS);
+}
+
+// Unification between rounds changes element keys: read(X) in A and
+// read(Y) in B meet only once X = Y, which fires in round 1 (both
+// unification directions). A round-2 conditional needs the intersection
+// output, and its action feeds a second intersection through the hub.
+std::vector<EffVar> unifyShape(LocTable &Locs, ConstraintSystem &CS) {
+  LocId X = Locs.fresh(), Y = Locs.fresh(), Z = Locs.fresh(),
+        W = Locs.fresh(), T = Locs.fresh(), U = Locs.fresh();
+  EffVar A = CS.makeVar(), B = CS.makeVar(), Out = CS.makeVar(),
+         Trigger = CS.makeVar(), Hub = CS.makeVar(), C = CS.makeVar(),
+         Out2 = CS.makeVar(), D = CS.makeVar(), Out3 = CS.makeVar();
+  CS.addElement(EffectKind::Read, X, A);
+  CS.addElement(EffectKind::Read, Y, B);
+  CS.addElement(EffectKind::Write, W, A);
+  CS.addElement(EffectKind::Write, Z, Hub);
+  CS.addElement(EffectKind::Read, U, D);
+  CS.addElement(EffectKind::Read, T, Trigger);
+  CS.addIntersection(InterOperand::var(A), InterOperand::var(B), Out);
+  CS.addIntersection(InterOperand::var(C), InterOperand::varUnion({Hub, B}),
+                     Out2);
+  CS.addIntersection(InterOperand::var(D), InterOperand::varUnion({Hub, A}),
+                     Out3);
+  CondConstraint C1;
+  C1.P = CondConstraint::Premise::LocInVar;
+  C1.Rho = T;
+  C1.Var = Trigger;
+  C1.Actions = {{CondAction::Kind::UnifyLocs, X, Y},
+                {CondAction::Kind::UnifyLocs, W, Z}};
+  CS.addConditional(std::move(C1));
+  CondConstraint C2;
+  C2.P = CondConstraint::Premise::LocInVar;
+  C2.Rho = Y;
+  C2.Var = Out;
+  C2.Actions = {{CondAction::Kind::AddElemAllKinds, Z, C},
+                {CondAction::Kind::UnifyLocs, U, X}};
+  CS.addConditional(std::move(C2));
+  CS.solve();
+  return {};
+}
+
+// A cycle-closing fired edge merges a holder's component: P -> Q holds
+// read(l) and feeds a 30-way hub union, then Q -> P fires, and elements
+// added in the same firing must meet the merged component's feeds.
+std::vector<EffVar> mergeHolderShape(LocTable &Locs, ConstraintSystem &CS) {
+  LocId L0 = Locs.fresh(), L1 = Locs.fresh(), T = Locs.fresh();
+  EffVar P = CS.makeVar(), Q = CS.makeVar(), R = CS.makeVar(),
+         Trigger = CS.makeVar();
+  CS.addEdge(P, Q);
+  CS.addElement(EffectKind::Read, L0, P);
+  CS.addElement(EffectKind::Read, T, Trigger);
+  for (int I = 0; I < 30; ++I) {
+    EffVar Body = CS.makeVar(), Out = CS.makeVar();
+    CS.addElement(EffectKind::Read, I % 2 ? L0 : L1, Body);
+    CS.addIntersection(InterOperand::var(Body),
+                       InterOperand::varUnion({I % 3 ? Q : P, R}), Out);
+  }
+  EffVar Out = CS.makeVar();
+  CS.addIntersection(InterOperand::var(Q), InterOperand::var(R), Out);
+  CondConstraint C;
+  C.P = CondConstraint::Premise::LocInVar;
+  C.Rho = T;
+  C.Var = Trigger;
+  C.Actions = {{CondAction::Kind::AddEdge, Q, P},
+               {CondAction::Kind::AddElemAllKinds, L1, Q},
+               {CondAction::Kind::AddElemReadWrite, L0, R}};
+  CS.addConditional(std::move(C));
+  CS.solve();
+  return {};
+}
+
+// Backwards scope: only what reaches the query variables is solved.
+std::vector<EffVar> scopeShape(LocTable &Locs, ConstraintSystem &CS) {
+  hubShape(Locs, CS);
+  std::vector<EffVar> Query = {hubLatent(1), hubLatent(7)};
+  CS.solve(Query);
+  return Query;
+}
+
+// An intersection added after a solve: its variable operand flushed
+// read(l) before it fed anything, and its other side flushes it only in
+// the second solve.
+std::vector<EffVar> lateIntersectionShape(LocTable &Locs,
+                                          ConstraintSystem &CS) {
+  LocId L = Locs.fresh();
+  EffVar A = CS.makeVar(), Pre = CS.makeVar();
+  CS.addElementAllKinds(L, A);
+  CS.addEdge(A, Pre);
+  CS.solve();
+  EffVar B = CS.makeVar(), Out = CS.makeVar();
+  CS.addElement(EffectKind::Read, L, B);
+  CS.addIntersection(InterOperand::var(B), InterOperand::var(A), Out);
+  return allVars(CS);
+}
+
+struct HolderCase {
+  const char *Name;
+  HolderShape Build;
+  bool SolvesItself;
+};
+
+void PrintTo(const HolderCase &Case, std::ostream *OS) { *OS << Case.Name; }
+
+/// Solutions of every variable after solving, with the shape's CHECK-SAT
+/// cross-check; \p Probes receives the intersection-probe count.
+std::string holderOutcome(const HolderCase &Case, bool Baseline,
+                          uint64_t *Probes) {
+  if (Baseline)
+    setenv("LNA_SOLVER_BASELINE", "1", 1);
+  LocTable Locs;
+  ConstraintSystem CS(Locs);
+  unsetenv("LNA_SOLVER_BASELINE");
+  std::vector<EffVar> CheckVars = Case.Build(Locs, CS);
+  if (!Case.SolvesItself)
+    CS.solve();
+  *Probes = CS.stats().InterProbes;
+  std::string Out;
+  for (EffVar V = 0; V < CS.numVars(); ++V)
+    Out += "v" + std::to_string(V) + " " + CS.solutionToString(V) + "\n";
+  // CHECK-SAT answers every (element, variable) query the solved sets
+  // answer.
+  for (EffVar V : CheckVars)
+    for (LocId Rho = 0; Rho < Locs.size(); ++Rho)
+      for (EffectKind K :
+           {EffectKind::Read, EffectKind::Write, EffectKind::Alloc})
+        EXPECT_EQ(CS.reaches(K, Rho, V), CS.member(K, Rho, V))
+            << Case.Name << (Baseline ? " baseline" : "") << ": v" << V
+            << " rho" << Rho << " kind " << static_cast<int>(K);
+  return Out;
+}
+
+class SolverHolderIndex : public ::testing::TestWithParam<HolderCase> {};
+
+TEST_P(SolverHolderIndex, MatchesBaselineAndCheckSat) {
+  uint64_t Probes = 0, BaselineProbes = 0;
+  std::string Indexed = holderOutcome(GetParam(), false, &Probes);
+  std::string Base = holderOutcome(GetParam(), true, &BaselineProbes);
+  EXPECT_EQ(Indexed, Base);
+}
+
+const HolderCase HolderCases[] = {
+    {"Hub", hubShape, false},
+    {"VariableFeedsBothSides", bothSidesShape, false},
+    {"ElementOperand", elemOperandShape, false},
+    {"UnifyChangesKeysBetweenRounds", unifyShape, true},
+    {"CycleClosingEdgeMergesHolder", mergeHolderShape, true},
+    {"BackwardsScope", scopeShape, true},
+    {"IntersectionAddedAfterSolve", lateIntersectionShape, false},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SolverHolderIndex, ::testing::ValuesIn(HolderCases),
+    [](const ::testing::TestParamInfo<HolderCase> &Info) {
+      return std::string(Info.param.Name);
+    });
+
+TEST(SolverHolderIndexHub, FlushesProbeOnlyHeldElements) {
+  // The hub's 120 feeds are probed only for elements some body already
+  // holds, not once per feed for every element the hub flushes.
+  uint64_t Probes = 0, BaselineProbes = 0;
+  HolderCase Hub{"Hub", hubShape, false};
+  EXPECT_EQ(holderOutcome(Hub, false, &Probes),
+            holderOutcome(Hub, true, &BaselineProbes));
+  EXPECT_LT(Probes * 10, BaselineProbes)
+      << Probes << " probes vs " << BaselineProbes << " in the baseline";
+}
+
+//===----------------------------------------------------------------------===//
 // Baseline-vs-optimized byte identity over the committed fixtures and
 // generated hard modules.
 //===----------------------------------------------------------------------===//
@@ -561,12 +836,25 @@ INSTANTIATE_TEST_SUITE_P(Fixtures, SolverIdentityCorpus,
                          ::testing::ValuesIn(identityFiles()), identityName);
 
 // The committed fixtures are too small to fire many AddEdge actions;
-// generated hard modules fire hundreds (one per failed confine?).
-class SolverIdentityGenerated : public ::testing::TestWithParam<uint64_t> {};
+// generated hard modules fire hundreds (one per failed confine?). A large
+// clean module has many functions whose (Down) intersections share the
+// globals environment: the holder index's hub case.
+struct GeneratedModule {
+  ModuleCategory Category;
+  uint64_t Seed;
+  uint32_t Size;
+};
+
+// The instantiation name carries the category and size; the value
+// printed (and so the test name) is the seed.
+void PrintTo(const GeneratedModule &M, std::ostream *OS) { *OS << M.Seed; }
+
+class SolverIdentityGenerated
+    : public ::testing::TestWithParam<GeneratedModule> {};
 
 TEST_P(SolverIdentityGenerated, BaselineAndCollapsedReportsAreIdentical) {
-  std::string Source =
-      generateModule(ModuleCategory::Hard, GetParam(), 200).Source;
+  const GeneratedModule &M = GetParam();
+  std::string Source = generateModule(M.Category, M.Seed, M.Size).Source;
   unsetenv("LNA_SOLVER_BASELINE");
   std::string Optimized = analysisFingerprint(Source);
   setenv("LNA_SOLVER_BASELINE", "1", 1);
@@ -577,7 +865,13 @@ TEST_P(SolverIdentityGenerated, BaselineAndCollapsedReportsAreIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Hard200, SolverIdentityGenerated,
-                         ::testing::Values(1, 2, 3));
+                         ::testing::Values(
+                             GeneratedModule{ModuleCategory::Hard, 1, 200},
+                             GeneratedModule{ModuleCategory::Hard, 2, 200},
+                             GeneratedModule{ModuleCategory::Hard, 3, 200}));
+INSTANTIATE_TEST_SUITE_P(Clean400, SolverIdentityGenerated,
+                         ::testing::Values(GeneratedModule{
+                             ModuleCategory::Clean, 1, 400}));
 
 TEST(SolverFiredEdgeRegression, HardModuleCondensesOncePerSolve) {
   // Regression: every fired AddEdge that added a component edge used to
@@ -590,6 +884,20 @@ TEST(SolverFiredEdgeRegression, HardModuleCondensesOncePerSolve) {
   size_t Condenses = countCondenseSpans([&] { ASSERT_TRUE(S.run(Source)); });
   EXPECT_GT(S.stats().counter("inference", "cond-firings"), 100u);
   EXPECT_EQ(Condenses, 1u);
+}
+
+TEST(SolverHolderIndexRegression, HardModuleProbesBelowPropagatedElems) {
+  // Regression: every element reaching the globals environment or a
+  // shared type variable probed the body set of every function whose
+  // (Down) intersection it feeds -- over 13 million probes for fewer
+  // than 50,000 propagated elements on a 160 KB hard module.
+  unsetenv("LNA_SOLVER_BASELINE");
+  std::string Source = generateModule(ModuleCategory::Hard, 5, 800).Source;
+  AnalysisSession S(PipelineOptions{});
+  ASSERT_TRUE(S.run(Source));
+  const SolverStats &SS = S.result().State->CS.stats();
+  EXPECT_GT(SS.InterProbes, 0u);
+  EXPECT_LE(SS.InterProbes, SS.PropagatedElems);
 }
 
 } // namespace

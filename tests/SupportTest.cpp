@@ -108,6 +108,34 @@ TEST(Arena, AllocationsAreAligned) {
   }
 }
 
+TEST(Arena, OverAlignedAllocationsAreAlignedInEverySlab) {
+  // A slab is only as aligned as operator new[] makes it (16 bytes on
+  // common targets), so alignments beyond that must be applied to the
+  // absolute address. 4096 is not met by a heap block's start, so this
+  // fails on offset-relative alignment whatever the heap layout. The
+  // arenas stay alive so each one gets fresh slabs.
+  std::vector<std::unique_ptr<Arena>> Arenas;
+  for (int Round = 0; Round < 32; ++Round) {
+    for (size_t Align : {size_t(32), size_t(64), size_t(4096)}) {
+      Arenas.push_back(std::make_unique<Arena>());
+      Arena &A = *Arenas.back();
+      auto ExpectAligned = [&](void *P, const char *Where) {
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(P) % Align, 0u)
+            << Where << ", align " << Align << ", round " << Round;
+      };
+      A.allocate(1, 1);
+      ExpectAligned(A.allocate(3, Align), "after a 1-byte allocation");
+      // Fill the first slab so the next request opens a new one.
+      A.allocate(64 * 1024 - 8, 1);
+      ExpectAligned(A.allocate(3, Align), "first in a new slab");
+      A.allocate(1, 1);
+      ExpectAligned(A.allocate(3, Align), "after a 1-byte allocation");
+      // Larger than a default slab: a slab of its own.
+      ExpectAligned(A.allocate(256 * 1024, Align), "in an oversized slab");
+    }
+  }
+}
+
 TEST(Arena, CreateConstructsObjects) {
   Arena A;
   struct Pair {

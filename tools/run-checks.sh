@@ -26,12 +26,16 @@
 #     and CSR-graph indexing), and a precision-differential fuzz smoke
 #     cross-checking the two backends' refinement contract.
 #  7. Solver stage: the `solver`-labeled suite under asan-ubsan (SCC
-#     condensation, small-set spill boundaries, quantile edges), a
-#     byte-identity diff of full-corpus reports between the collapsed
-#     solver and the LNA_SOLVER_BASELINE=1 uncollapsed solver for both
-#     alias backends, and a solver-agreement fuzz smoke run with the
-#     collapse enabled (the default, but stated here because this is
-#     the hot path the optimizations rewrote).
+#     condensation, the intersection-feed holder index, small-set spill
+#     boundaries, quantile edges), a byte-identity diff of full-corpus
+#     reports between the collapsed solver and the LNA_SOLVER_BASELINE=1
+#     uncollapsed solver for both alias backends (the baseline also keeps
+#     the pre-index probing of every intersection feed, so the diff
+#     cross-checks the holder index too), and solver-agreement fuzz smoke
+#     runs, which check propagation against CHECK-SAT, under both alias
+#     backends with the collapse and the index enabled (the default, but
+#     stated here because this is the hot path the optimizations
+#     rewrote).
 #  8. Chaos stage: the `supervisor`-labeled suite under asan-ubsan
 #     (fork/exec, pipe-protocol parsing of untrusted worker bytes,
 #     signal handling), then a full-corpus chaos audit: every module
@@ -168,6 +172,8 @@ done
 echo "== asan-ubsan: solver-agreement fuzz smoke =="
 ./build-asan-ubsan/tools/lna-fuzz --oracle=solver-agreement --seed=3 \
   --runs=200 --max-seconds=30
+./build-asan-ubsan/tools/lna-fuzz --oracle=solver-agreement --alias=andersen \
+  --seed=3 --runs=200 --max-seconds=30
 
 echo "== asan-ubsan: supervisor suite =="
 ctest --test-dir build-asan-ubsan --output-on-failure -L supervisor
