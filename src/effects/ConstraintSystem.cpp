@@ -27,17 +27,17 @@ ConstraintSystem::ConstraintSystem(LocTable &Locs) : Locs(Locs) {
 }
 
 EffVar ConstraintSystem::makeVar() {
-  Vars.emplace_back();
+  InScope.push_back(1);
   Cond.Valid = false;
-  return static_cast<EffVar>(Vars.size() - 1);
+  return NumVars++;
 }
 
 void ConstraintSystem::addElement(EffectKind K, LocId Rho, EffVar V) {
-  assert(V < Vars.size() && "unknown effect variable");
-  Vars[V].Seeds.push_back(EffectElem(K, Rho).bits());
+  assert(V < NumVars && "unknown effect variable");
+  // A new seed invalidates the CHECK-SAT seed index, not the condensation.
+  SeedLog.emplace_back(V, EffectElem(K, Rho).bits());
   if (TrackOrigins)
-    Vars[V].SeedOrigins.push_back(CurOrigin);
-  ++NumSeeds; // invalidates the CHECK-SAT seed index, not the condensation
+    SeedOrigins.push_back(CurOrigin);
 }
 
 void ConstraintSystem::addElementAllKinds(LocId Rho, EffVar V) {
@@ -52,13 +52,12 @@ void ConstraintSystem::addEdge(EffVar From, EffVar To) {
 }
 
 bool ConstraintSystem::recordEdge(EffVar From, EffVar To) {
-  assert(From < Vars.size() && To < Vars.size() && "unknown effect variable");
+  assert(From < NumVars && To < NumVars && "unknown effect variable");
   if (From == To)
     return false;
-  Vars[From].OutEdges.push_back(To);
+  EdgeLog.emplace_back(From, To);
   if (TrackOrigins)
-    Vars[From].EdgeOrigins.push_back(CurOrigin);
-  ++NumEdges;
+    EdgeOrigins.push_back(CurOrigin);
   return true;
 }
 
@@ -68,10 +67,10 @@ void ConstraintSystem::addIntersection(InterOperand A, InterOperand B,
   Inters.push_back({A, B, Out, TrackOrigins ? CurOrigin : Origin{}});
   auto Register = [&](const InterOperand &Op, uint8_t Side) {
     if (Op.K == InterOperand::Kind::Var)
-      Vars[Op.Value].OutInters.emplace_back(Idx, Side);
+      FeedLog.push_back({Op.Value, {Idx, Side}});
     else if (Op.K == InterOperand::Kind::VarUnion)
       for (EffVar V : Op.Union)
-        Vars[V].OutInters.emplace_back(Idx, Side);
+        FeedLog.push_back({V, {Idx, Side}});
   };
   Register(Inters[Idx].A, 0);
   Register(Inters[Idx].B, 1);
@@ -104,6 +103,68 @@ uint32_t ConstraintSystem::addConditional(CondConstraint C) {
 }
 
 //===----------------------------------------------------------------------===//
+// The per-variable view of the logs
+//===----------------------------------------------------------------------===//
+
+/// Stable counting sort of items 0..N-1 by Key(I) < NumKeys into a CSR:
+/// Out[Start[K]..Start[K + 1]) holds Val(I) for the items of key K in
+/// ascending I, and Idx (when non-null) the matching I.
+template <typename T, typename KeyFn, typename ValFn>
+static void countingSort(size_t N, uint32_t NumKeys, KeyFn Key, ValFn Val,
+                         std::vector<uint32_t> &Start, std::vector<T> &Out,
+                         std::vector<uint32_t> *Idx) {
+  Start.assign(NumKeys + 1, 0);
+  for (size_t I = 0; I < N; ++I)
+    ++Start[Key(I) + 1];
+  for (uint32_t K = 0; K < NumKeys; ++K)
+    Start[K + 1] += Start[K];
+  Out.resize(N);
+  if (Idx)
+    Idx->resize(N);
+  // Fill through Start itself: afterwards Start[K] is where key K + 1
+  // begins, so shifting one place right restores it.
+  for (size_t I = 0; I < N; ++I) {
+    uint32_t Slot = Start[Key(I)]++;
+    Out[Slot] = Val(I);
+    if (Idx)
+      (*Idx)[Slot] = static_cast<uint32_t>(I);
+  }
+  for (uint32_t K = NumKeys; K-- > 1;)
+    Start[K] = Start[K - 1];
+  Start[0] = 0;
+}
+
+template <typename T>
+void ConstraintSystem::regroup(const std::vector<std::pair<EffVar, T>> &Log,
+                               VarGroups<T> &G, bool KeepLogIdx) const {
+  if (G.Vars == NumVars && G.Logged == Log.size())
+    return;
+  countingSort(
+      Log.size(), NumVars, [&](size_t I) { return Log[I].first; },
+      [&](size_t I) { return Log[I].second; }, G.Start, G.Items,
+      KeepLogIdx ? &G.LogIdx : nullptr);
+  G.Vars = NumVars;
+  G.Logged = Log.size();
+}
+
+const ConstraintSystem::VarGroups<EffVar> &
+ConstraintSystem::outEdges() const {
+  regroup(EdgeLog, OutEdgeView, TrackOrigins);
+  return OutEdgeView;
+}
+
+const ConstraintSystem::VarGroups<uint32_t> &ConstraintSystem::seeds() const {
+  regroup(SeedLog, SeedView, TrackOrigins);
+  return SeedView;
+}
+
+const ConstraintSystem::VarGroups<ConstraintSystem::Feed> &
+ConstraintSystem::outInters() const {
+  regroup(FeedLog, OutInterView, false);
+  return OutInterView;
+}
+
+//===----------------------------------------------------------------------===//
 // SCC condensation
 //===----------------------------------------------------------------------===//
 
@@ -114,7 +175,8 @@ void ConstraintSystem::ensureCondensed() const {
 
 void ConstraintSystem::rebuildCondensation() const {
   Span Sp("solver-condense");
-  const uint32_t NumVars = static_cast<uint32_t>(Vars.size());
+  const VarGroups<EffVar> &Out = outEdges();
+  const VarGroups<Feed> &Feeds = outInters();
 
   // Map variables to components. Baseline mode keeps the identity
   // mapping; otherwise Tarjan over the plain-edge graph (intersections
@@ -128,22 +190,8 @@ void ConstraintSystem::rebuildCondensation() const {
       NewComp[V] = V;
     NumComps = NumVars;
   } else {
-    // Build the variable-level CSR in place: sources are visited in CSR
-    // order, so targets fill strictly sequentially -- no edge-pair list
-    // and no fill-cursor array. (The per-source target order matches the
-    // pair-list construction exactly, so iteration order -- and with it
-    // every order-sensitive metric -- is unchanged.)
-    Adjacency VAdj;
-    VAdj.Start.assign(NumVars + 1, 0);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      VAdj.Start[V + 1] =
-          VAdj.Start[V] + static_cast<uint32_t>(Vars[V].OutEdges.size());
-    VAdj.Targets.resize(VAdj.Start[NumVars]);
-    uint32_t Pos = 0;
-    for (uint32_t V = 0; V < NumVars; ++V)
-      for (EffVar W : Vars[V].OutEdges)
-        VAdj.Targets[Pos++] = W;
-    TarjanSCC SCC(VAdj, NumVars);
+    // Tarjan reads the per-variable edge view in place.
+    TarjanSCC SCC(Out, NumVars);
     NewComp = std::move(SCC.Comp);
     NumComps = SCC.NumComps;
   }
@@ -151,12 +199,12 @@ void ConstraintSystem::rebuildCondensation() const {
   // Component-level CSR adjacency: plain edges with intra-component
   // edges dropped, and the (intersection, side) feed lists. CSR packing
   // keeps each component's fanout contiguous for the propagation and
-  // DFS inner loops. Counting sort straight off the variable edge lists
-  // (count, prefix, fill) -- again no intermediate pair list.
+  // DFS inner loops. Counting sort straight off the edge view (count,
+  // prefix, fill) -- no intermediate pair list.
   Adjacency CAdj;
   CAdj.Start.assign(NumComps + 1, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    for (EffVar W : Vars[V].OutEdges)
+    for (EffVar W : Out.of(V))
       if (NewComp[V] != NewComp[W])
         ++CAdj.Start[NewComp[V] + 1];
   for (uint32_t C = 0; C < NumComps; ++C)
@@ -165,22 +213,21 @@ void ConstraintSystem::rebuildCondensation() const {
   {
     std::vector<uint32_t> Fill(CAdj.Start.begin(), CAdj.Start.end() - 1);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (EffVar W : Vars[V].OutEdges)
+      for (EffVar W : Out.of(V))
         if (NewComp[V] != NewComp[W])
           CAdj.Targets[Fill[NewComp[V]]++] = NewComp[W];
   }
 
   std::vector<uint32_t> InterStart(NumComps + 1, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    InterStart[NewComp[V] + 1] +=
-        static_cast<uint32_t>(Vars[V].OutInters.size());
+    InterStart[NewComp[V] + 1] += static_cast<uint32_t>(Feeds.of(V).size());
   for (uint32_t C = 0; C < NumComps; ++C)
     InterStart[C + 1] += InterStart[C];
-  std::vector<std::pair<uint32_t, uint8_t>> InterFeeds(InterStart[NumComps]);
+  std::vector<Feed> InterFeeds(InterStart[NumComps]);
   {
     std::vector<uint32_t> Fill(InterStart.begin(), InterStart.end() - 1);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (auto F : Vars[V].OutInters)
+      for (Feed F : Feeds.of(V))
         InterFeeds[Fill[NewComp[V]]++] = F;
   }
 
@@ -189,7 +236,7 @@ void ConstraintSystem::rebuildCondensation() const {
   std::vector<uint32_t> ProbeStart, ProbeFeeds;
   std::vector<EffVar> Rep;
   if (!Baseline) {
-    auto Slot = [&](uint32_t V, std::pair<uint32_t, uint8_t> F) {
+    auto Slot = [&](uint32_t V, Feed F) {
       const InterNode &N = Inters[F.first];
       const InterOperand &Other = F.second == 0 ? N.B : N.A;
       return 3 * NewComp[V] +
@@ -197,14 +244,14 @@ void ConstraintSystem::rebuildCondensation() const {
     };
     ProbeStart.assign(3 * NumComps + 1, 0);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (auto F : Vars[V].OutInters)
+      for (Feed F : Feeds.of(V))
         ++ProbeStart[Slot(V, F) + 1];
     for (uint32_t S = 0; S < 3 * NumComps; ++S)
       ProbeStart[S + 1] += ProbeStart[S];
     ProbeFeeds.resize(ProbeStart.back());
     std::vector<uint32_t> Fill(ProbeStart.begin(), ProbeStart.end() - 1);
     for (uint32_t V = 0; V < NumVars; ++V)
-      for (auto F : Vars[V].OutInters)
+      for (Feed F : Feeds.of(V))
         ProbeFeeds[Fill[Slot(V, F)]++] = F.first;
     Rep.assign(NumComps, InvalidEffVar);
     for (uint32_t V = NumVars; V-- > 0;)
@@ -264,7 +311,7 @@ void ConstraintSystem::rebuildCondensation() const {
   Cond.Dirty.assign(NumComps, 0);
   Cond.InScope.assign(NumComps, 0);
   for (uint32_t V = 0; V < NumVars; ++V)
-    if (Vars[V].InScope)
+    if (InScope[V])
       Cond.InScope[Cond.Comp[V]] = 1;
   Cond.VisitEpoch.assign(NumComps, 0);
   Cond.SideEpoch.assign(Inters.size(), 0);
@@ -330,12 +377,13 @@ uint32_t ConstraintSystem::nextEpoch() const {
 
 void ConstraintSystem::ensureCheckSatIndex() const {
   if (Cond.IndexValid && Cond.IndexMergeStamp == Locs.numClassesMerged() &&
-      Cond.IndexSeedStamp == NumSeeds)
+      Cond.IndexSeedStamp == SeedLog.size())
     return;
   Cond.SeedComps.clear();
   Cond.ElemFeeds.clear();
-  for (uint32_t V = 0; V < Vars.size(); ++V)
-    for (uint32_t S : Vars[V].Seeds)
+  const VarGroups<uint32_t> &Seeds = seeds();
+  for (uint32_t V = 0; V < NumVars; ++V)
+    for (uint32_t S : Seeds.of(V))
       Cond.SeedComps[canon(S)].push_back(Cond.Comp[V]);
   for (uint32_t I = 0; I < Inters.size(); ++I) {
     const InterNode &N = Inters[I];
@@ -345,7 +393,7 @@ void ConstraintSystem::ensureCheckSatIndex() const {
       Cond.ElemFeeds[canon(N.B.Value)].push_back({I, 1});
   }
   Cond.IndexMergeStamp = Locs.numClassesMerged();
-  Cond.IndexSeedStamp = NumSeeds;
+  Cond.IndexSeedStamp = SeedLog.size();
   Cond.IndexValid = true;
 }
 
@@ -375,7 +423,10 @@ bool ConstraintSystem::reaches(EffectKind K, LocId Rho, EffVar Target) const {
 /// The pre-optimization query: per-query visited/side-mask allocation,
 /// full scans of the intersection and seed storage, var-granularity DFS.
 bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
-  std::vector<uint8_t> VisitedVar(Vars.size(), 0);
+  const VarGroups<EffVar> &Out = outEdges();
+  const VarGroups<uint32_t> &Seeds = seeds();
+  const VarGroups<Feed> &Feeds = outInters();
+  std::vector<uint8_t> VisitedVar(NumVars, 0);
   // Two-bit mask per intersection: which sides the element has reached.
   std::vector<uint8_t> SideMask(Inters.size(), 0);
   std::vector<EffVar> Work;
@@ -405,8 +456,8 @@ bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
     return true;
 
   // Sources: every variable whose seed set contains the element.
-  for (EffVar V = 0; V < Vars.size(); ++V) {
-    for (uint32_t S : Vars[V].Seeds)
+  for (EffVar V = 0; V < NumVars; ++V) {
+    for (uint32_t S : Seeds.of(V))
       if (canon(S) == C) {
         Visit(V);
         break;
@@ -417,9 +468,9 @@ bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
     budgetStep();
     EffVar V = Work.back();
     Work.pop_back();
-    for (EffVar W : Vars[V].OutEdges)
+    for (EffVar W : Out.of(V))
       Visit(W);
-    for (auto [I, Side] : Vars[V].OutInters) {
+    for (auto [I, Side] : Feeds.of(V)) {
       SideMask[I] |= (1u << Side);
       if (SideMask[I] == 3)
         Visit(Inters[I].Out);
@@ -433,7 +484,7 @@ bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
 /// epoch-stamped scratch instead of per-query allocation and clearing.
 bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
   const uint32_t Epoch = nextEpoch();
-  const uint32_t TC = Target < Vars.size() ? Cond.Comp[Target] : ~0u;
+  const uint32_t TC = Target < NumVars ? Cond.Comp[Target] : ~0u;
   std::vector<uint32_t> &Work = Cond.WorkScratch;
   Work.clear();
 
@@ -637,7 +688,7 @@ void ConstraintSystem::syncHolders() {
 
 void ConstraintSystem::recanonicalize() {
   Span Sp("recanonicalize");
-  budgetStep(Vars.size());
+  budgetStep(NumVars);
   ensureCondensed();
   // Rebuild solution sets with canonical elements. Only components whose
   // set actually changed (an element mentioned a just-unified location)
@@ -677,14 +728,13 @@ void ConstraintSystem::recanonicalize() {
 
 void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
   if (QueryVars.empty()) {
-    for (VarNode &N : Vars)
-      N.InScope = true;
+    std::fill(InScope.begin(), InScope.end(), 1);
     return;
   }
   // Backwards search (Section 6.2): only the part of the graph that can
   // flow into a query variable, a conditional's tested variable, or a
   // variable a conditional action writes needs least-solution computation.
-  std::vector<uint8_t> InScope(Vars.size(), 0);
+  std::fill(InScope.begin(), InScope.end(), 0);
   std::vector<EffVar> Work;
   auto Mark = [&](EffVar V) {
     if (V == InvalidEffVar || InScope[V])
@@ -705,20 +755,25 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
           A.K == CondAction::Kind::AddElemReadWrite)
         Mark(A.B);
   }
-  // Reverse adjacency.
-  std::vector<std::vector<EffVar>> Rev(Vars.size());
-  for (EffVar V = 0; V < Vars.size(); ++V)
-    for (EffVar W : Vars[V].OutEdges)
-      Rev[W].push_back(V);
-  std::vector<std::vector<uint32_t>> RevInter(Vars.size());
-  for (uint32_t I = 0; I < Inters.size(); ++I)
-    RevInter[Inters[I].Out].push_back(I);
+  // Reverse adjacency, as CSRs straight off the edge log and the
+  // intersections' outputs.
+  std::vector<uint32_t> RevStart, RevInterStart;
+  std::vector<EffVar> Rev;
+  std::vector<uint32_t> RevInter;
+  countingSort(
+      EdgeLog.size(), NumVars, [&](size_t I) { return EdgeLog[I].second; },
+      [&](size_t I) { return EdgeLog[I].first; }, RevStart, Rev, nullptr);
+  countingSort(
+      Inters.size(), NumVars, [&](size_t I) { return Inters[I].Out; },
+      [](size_t I) { return static_cast<uint32_t>(I); }, RevInterStart,
+      RevInter, nullptr);
   while (!Work.empty()) {
     EffVar V = Work.back();
     Work.pop_back();
-    for (EffVar U : Rev[V])
-      Mark(U);
-    for (uint32_t I : RevInter[V]) {
+    for (uint32_t E = RevStart[V]; E < RevStart[V + 1]; ++E)
+      Mark(Rev[E]);
+    for (uint32_t R = RevInterStart[V]; R < RevInterStart[V + 1]; ++R) {
+      const uint32_t I = RevInter[R];
       for (const InterOperand *Op : {&Inters[I].A, &Inters[I].B}) {
         if (Op->K == InterOperand::Kind::Var)
           Mark(Op->Value);
@@ -728,8 +783,6 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
       }
     }
   }
-  for (EffVar V = 0; V < Vars.size(); ++V)
-    Vars[V].InScope = InScope[V] != 0;
 }
 
 bool ConstraintSystem::evalPremise(const CondConstraint &C) const {
@@ -830,13 +883,29 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
   // members are mutually reachable, so the backwards closure marks all
   // of them or none).
   std::fill(Cond.InScope.begin(), Cond.InScope.end(), 0);
-  for (uint32_t V = 0; V < Vars.size(); ++V)
-    if (Vars[V].InScope)
+  for (uint32_t V = 0; V < NumVars; ++V)
+    if (InScope[V])
       Cond.InScope[Cond.Comp[V]] = 1;
+  // Edges and feeds added since the last solve() must also carry what
+  // their sources already hold: re-queue every solved set (all empty
+  // before the first solve).
+  if (EdgeLog.size() + FeedLog.size() != SolvedLogs)
+    for (uint32_t C = 0; C < Cond.NumComps; ++C) {
+      if (!Cond.InScope[C] || Cond.Sol[C].empty())
+        continue;
+      Cond.Pending[C].clear();
+      for (uint32_t E : Cond.Sol[C])
+        Cond.Pending[C].push_back(E);
+      if (!Cond.Dirty[C]) {
+        Cond.Dirty[C] = 1;
+        Worklist.push_back(C);
+      }
+    }
 
   // Seed every variable's directly-included elements.
-  for (EffVar V = 0; V < Vars.size(); ++V)
-    for (uint32_t S : Vars[V].Seeds)
+  const VarGroups<uint32_t> &Seeds = seeds();
+  for (EffVar V = 0; V < NumVars; ++V)
+    for (uint32_t S : Seeds.of(V))
       insertElem(V, canon(S));
   // Constant intersections (both operands elements).
   for (const InterNode &N : Inters)
@@ -874,10 +943,11 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
     propagate();
     ++Stats.Rounds;
   }
+  SolvedLogs = EdgeLog.size() + FeedLog.size();
 }
 
 const SmallElemSet &ConstraintSystem::solution(EffVar V) const {
-  assert(V < Vars.size() && "unknown effect variable");
+  assert(V < NumVars && "unknown effect variable");
   ensureCondensed();
   return Cond.Sol[Cond.Comp[V]];
 }
@@ -952,14 +1022,25 @@ ConstraintSystem::explainReach(EffectKind K, LocId Rho, EffVar Target) const {
     EffVar From = InvalidEffVar;
     Origin O{};
   };
-  std::vector<Parent> Par(Vars.size());
-  std::vector<uint8_t> Visited(Vars.size(), 0);
+  const VarGroups<EffVar> &Out = outEdges();
+  const VarGroups<uint32_t> &Seeds = seeds();
+  const VarGroups<Feed> &Feeds = outInters();
+  // The origin of the constraint at Slot of a grouped log (none when
+  // origin tracking was off).
+  auto OriginAt = [](const std::vector<Origin> &Origins,
+                     const std::vector<uint32_t> &LogIdx, uint32_t Slot) {
+    return Slot < LogIdx.size() && LogIdx[Slot] < Origins.size()
+               ? Origins[LogIdx[Slot]]
+               : Origin{};
+  };
+  std::vector<Parent> Par(NumVars);
+  std::vector<uint8_t> Visited(NumVars, 0);
   std::vector<uint8_t> SideMask(Inters.size(), 0);
   std::vector<EffVar> Queue;
   size_t Head = 0;
 
   auto Visit = [&](EffVar V, Parent P) {
-    if (V >= Vars.size() || Visited[V])
+    if (V >= NumVars || Visited[V])
       return;
     Visited[V] = 1;
     Par[V] = P;
@@ -978,30 +1059,26 @@ ConstraintSystem::explainReach(EffectKind K, LocId Rho, EffVar Target) const {
   }
 
   // Seed sources: the element's origin is the access that generated it.
-  for (EffVar V = 0; V < Vars.size(); ++V) {
-    const VarNode &N = Vars[V];
-    for (size_t I = 0; I < N.Seeds.size(); ++I)
-      if (canon(N.Seeds[I]) == C) {
-        Origin O = I < N.SeedOrigins.size() ? N.SeedOrigins[I] : Origin{};
-        Visit(V, {Parent::Seed, InvalidEffVar, O});
+  for (EffVar V = 0; V < NumVars; ++V)
+    for (uint32_t S = Seeds.Start[V]; S < Seeds.Start[V + 1]; ++S)
+      if (canon(Seeds.Items[S]) == C) {
+        Visit(V, {Parent::Seed, InvalidEffVar,
+                  OriginAt(SeedOrigins, Seeds.LogIdx, S)});
         break;
       }
-  }
 
-  while (Head < Queue.size() && !Visited[Target]) {
+  while (Head < Queue.size() && Target < NumVars && !Visited[Target]) {
     EffVar V = Queue[Head++];
-    const VarNode &N = Vars[V];
-    for (size_t I = 0; I < N.OutEdges.size(); ++I) {
-      Origin O = I < N.EdgeOrigins.size() ? N.EdgeOrigins[I] : Origin{};
-      Visit(N.OutEdges[I], {Parent::Edge, V, O});
-    }
-    for (auto [I, Side] : N.OutInters) {
+    for (uint32_t E = Out.Start[V]; E < Out.Start[V + 1]; ++E)
+      Visit(Out.Items[E],
+            {Parent::Edge, V, OriginAt(EdgeOrigins, Out.LogIdx, E)});
+    for (auto [I, Side] : Feeds.of(V)) {
       SideMask[I] |= static_cast<uint8_t>(1u << Side);
       if (SideMask[I] == 3)
         Visit(Inters[I].Out, {Parent::Inter, V, Inters[I].Orig});
     }
   }
-  if (Target >= Vars.size() || !Visited[Target])
+  if (Target >= NumVars || !Visited[Target])
     return {};
 
   // Walk the parent chain from the violated scope's variable back to the
@@ -1048,8 +1125,10 @@ void ConstraintSystem::recordGraphMetrics() const {
   if (!currentMetrics())
     return;
   static const MetricId OutDegree = metricId("constraint-out-degree");
-  for (const VarNode &N : Vars)
-    obsHistogram(OutDegree, N.OutEdges.size() + N.OutInters.size());
+  const VarGroups<EffVar> &Out = outEdges();
+  const VarGroups<Feed> &Feeds = outInters();
+  for (EffVar V = 0; V < NumVars; ++V)
+    obsHistogram(OutDegree, Out.of(V).size() + Feeds.of(V).size());
 }
 
 void ConstraintSystem::recordSolutionMetrics() const {
@@ -1059,7 +1138,7 @@ void ConstraintSystem::recordSolutionMetrics() const {
   // Report per *variable*, not per component, so the effect-set-size
   // distribution is unchanged by the collapse.
   static const MetricId SetSize = metricId("effect-set-size");
-  for (uint32_t V = 0; V < Vars.size(); ++V)
-    if (Vars[V].InScope)
+  for (uint32_t V = 0; V < NumVars; ++V)
+    if (InScope[V])
       obsHistogram(SetSize, Cond.Sol[Cond.Comp[V]].size());
 }

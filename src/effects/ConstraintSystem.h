@@ -39,6 +39,18 @@
 /// stored elements against the location union-find after each round of
 /// firings.
 ///
+/// Constraints are stored in flat append-only logs -- plain edges
+/// (from, to), seeds (var, element) and intersection feeds (var,
+/// (intersection, side)) -- so creating a variable is a counter bump and
+/// adding a constraint is one append, in the linear-time graph build of
+/// Section 4. Readers that walk a variable's constraints (condensation,
+/// CHECK-SAT, the backwards scope, provenance replay) use a per-variable
+/// CSR view of each log, regrouped by a stable counting sort only when
+/// a reader needs it and the log has grown since; stability keeps every
+/// variable's constraints in insertion order, so traversal orders (and
+/// with them Tarjan numbering and every order-sensitive counter) are
+/// those of the insertion sequence.
+///
 /// Both solvers run over an SCC *pre-collapse* of the plain-edge graph
 /// (the wave/deep-propagation move of inclusion-constraint solvers):
 /// every variable on a plain-edge cycle provably has the same least
@@ -73,7 +85,8 @@
 /// collapse, the CHECK-SAT source indexes (identity components,
 /// per-query full scans) and the holder index (every feed probed) -- the
 /// pre-optimization algorithm, kept for byte-identity diffs and the
-/// bench_solver before/after comparison.
+/// bench_solver before/after comparison. It reads the same logs and
+/// per-variable views: there is one storage path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,6 +98,7 @@
 #include "obs/Provenance.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -206,7 +220,7 @@ public:
 
   /// Creates a fresh effect variable.
   EffVar makeVar();
-  uint32_t numVars() const { return static_cast<uint32_t>(Vars.size()); }
+  uint32_t numVars() const { return NumVars; }
 
   /// {X(rho)} <= V.
   void addElement(EffectKind K, LocId Rho, EffVar V);
@@ -220,7 +234,7 @@ public:
   /// Registers a conditional constraint; returns its index.
   uint32_t addConditional(CondConstraint C);
 
-  uint32_t numEdges() const { return NumEdges; }
+  uint32_t numEdges() const { return static_cast<uint32_t>(EdgeLog.size()); }
   uint32_t numIntersections() const {
     return static_cast<uint32_t>(Inters.size());
   }
@@ -322,19 +336,28 @@ private:
     Origin Orig{};
   };
 
-  /// Per-variable constraint storage (the authoritative, uncollapsed
-  /// graph; provenance replay and condensation rebuilds read it).
-  struct VarNode {
-    std::vector<EffVar> OutEdges;
-    /// (intersection index, side 0/1) pairs this var feeds.
-    std::vector<std::pair<uint32_t, uint8_t>> OutInters;
-    /// Seeds: elements directly included by addElement.
-    std::vector<uint32_t> Seeds;
-    /// Parallel to OutEdges / Seeds when origin tracking is on.
-    std::vector<Origin> EdgeOrigins;
-    std::vector<Origin> SeedOrigins;
-    bool InScope = true; ///< included in filtered propagation
+  /// One constraint log grouped per variable (the per-variable view):
+  /// Items[Start[V]..Start[V + 1]) are V's entries in insertion order.
+  /// Vars and Logged record the variable count and log length it was
+  /// built from; regroup() rebuilds it when either has grown.
+  template <typename T> struct VarGroups {
+    std::vector<uint32_t> Start;
+    std::vector<T> Items;
+    /// Log index of each item, for origin lookup; only kept for the
+    /// edge and seed logs while origin tracking is on.
+    std::vector<uint32_t> LogIdx;
+    uint32_t Vars = 0;
+    size_t Logged = 0;
+
+    std::span<const T> of(EffVar V) const {
+      return {Items.data() + Start[V], Items.data() + Start[V + 1]};
+    }
+    /// Tarjan's adjacency interface.
+    const T *begin(EffVar V) const { return Items.data() + Start[V]; }
+    const T *end(EffVar V) const { return Items.data() + Start[V + 1]; }
   };
+  /// An intersection feed: (intersection index, side 0/1).
+  using Feed = std::pair<uint32_t, uint8_t>;
 
   /// The lazily built SCC condensation both solvers run on. Solution
   /// sets live here, at component granularity; a rebuild (triggered by
@@ -363,7 +386,7 @@ private:
     /// Component edges added by fired conditionals since the last
     /// rebuild, per source component; empty until the first one (the
     /// CSR arrays are immutable between rebuilds; the next one re-reads
-    /// every edge from Vars).
+    /// every edge from the edge log).
     std::vector<std::vector<uint32_t>> Overflow;
     /// True while every edge, CSR and overflow, runs from a higher
     /// component index to a lower one (Tarjan's numbering).
@@ -416,6 +439,15 @@ private:
   /// True if the operand's (union of) solution(s) contains \p CanonElem.
   bool operandContains(const InterOperand &Op, uint32_t CanonElem) const;
 
+  /// Brings \p G up to date with \p Log (see VarGroups).
+  template <typename T>
+  void regroup(const std::vector<std::pair<EffVar, T>> &Log,
+               VarGroups<T> &G, bool KeepLogIdx) const;
+  /// The per-variable views of the three logs, regrouped if stale.
+  const VarGroups<EffVar> &outEdges() const;
+  const VarGroups<uint32_t> &seeds() const;
+  const VarGroups<Feed> &outInters() const;
+
   void ensureCondensed() const;
   void rebuildCondensation() const;
   /// True if the condensation has the component edge From -> To.
@@ -453,7 +485,7 @@ private:
   void recanonicalize();
   bool evalPremise(const CondConstraint &C) const;
   void applyAction(const CondAction &A);
-  /// Stores From <= To in Vars; false (and nothing stored) if From == To.
+  /// Logs From <= To; false (and nothing logged) if From == To.
   bool recordEdge(EffVar From, EffVar To);
   /// From <= To added by a fired conditional, keeping the condensation
   /// valid unless the edge closes a cycle.
@@ -461,15 +493,26 @@ private:
   void computeScope(const std::vector<EffVar> &QueryVars);
 
   LocTable &Locs;
-  std::vector<VarNode> Vars;
+  /// The authoritative, uncollapsed graph: append-only logs, plus the
+  /// origins parallel to the edge and seed logs when TrackOrigins.
+  uint32_t NumVars = 0;
+  std::vector<std::pair<EffVar, EffVar>> EdgeLog;   ///< (from, to)
+  std::vector<std::pair<EffVar, uint32_t>> SeedLog; ///< (var, elem bits)
+  std::vector<std::pair<EffVar, Feed>> FeedLog;     ///< (var, feed)
+  std::vector<Origin> EdgeOrigins, SeedOrigins;
+  /// Per variable: included in filtered propagation (computeScope).
+  std::vector<uint8_t> InScope;
+  mutable VarGroups<EffVar> OutEdgeView;
+  mutable VarGroups<uint32_t> SeedView;
+  mutable VarGroups<Feed> OutInterView;
   std::vector<InterNode> Inters;
   std::vector<CondConstraint> Conds;
   mutable std::vector<uint32_t> Worklist; ///< dirty components
-  uint32_t NumEdges = 0;
-  uint64_t NumSeeds = 0;
   mutable SolverStats Stats;
   mutable Condensation Cond;
   HolderIndex Holders;
+  /// The edge plus feed log length when solve() last returned.
+  size_t SolvedLogs = 0;
   bool Baseline = false; ///< LNA_SOLVER_BASELINE=1: no collapse, no index
   bool TrackOrigins = false;
   Origin CurOrigin{};

@@ -11,13 +11,14 @@
 #include "obs/Trace.h"
 #include "serve/Json.h"
 #include "support/Stats.h"
-#include "support/Subprocess.h"
 #include "support/Version.h"
 
+#include <cerrno>
 #include <cmath>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace lna;
@@ -78,7 +79,11 @@ bool Server::start(std::string &Error) {
 
 void Server::requestStop() {
   StopRequested.store(true, std::memory_order_relaxed);
-  // Async-signal-safe wakeup; a full pipe already guarantees a wakeup.
+  wake();
+}
+
+void Server::wake() {
+  // Async-signal-safe; a full pipe already guarantees a wakeup.
   ssize_t Ignored = ::write(WakePipe[1], "x", 1);
   (void)Ignored;
 }
@@ -91,9 +96,31 @@ int Server::serveForever() {
     Polled.clear();
     Fds.push_back({WakePipe[0], POLLIN, 0});
     Fds.push_back({Listener.fd(), POLLIN, 0});
-    for (auto &KV : Conns) {
-      Fds.push_back({KV.first, POLLIN, 0});
-      Polled.push_back(KV.second);
+    for (auto It = Conns.begin(); It != Conns.end();) {
+      Conn &C = *It->second;
+      short Events;
+      bool Done;
+      {
+        std::lock_guard<std::mutex> Lock(C.Mutex);
+        Events = static_cast<short>((C.Closing ? 0 : POLLIN) |
+                                    (C.Out.empty() ? 0 : POLLOUT));
+        Done = C.Dead || (C.Closing && C.InFlight == 0 && C.Out.empty());
+      }
+      if (Done) {
+        // Every reply is out (or can never be): the client gets EOF now,
+        // even while a finishing worker still holds the fd open.
+        ::shutdown(C.Fd, SHUT_RDWR);
+        Journal.event("conn-close").num("conn", C.Id);
+        It = Conns.erase(It);
+        continue;
+      }
+      // A closing connection waiting on its workers is not polled at
+      // all: a hung-up peer would report POLLHUP on every pass.
+      if (Events) {
+        Fds.push_back({C.Fd, Events, 0});
+        Polled.push_back(It->second);
+      }
+      ++It;
     }
     if (pollRetry(Fds.data(), Fds.size(), -1) < 0)
       break; // poll failed hard; nothing sane left to do
@@ -115,15 +142,41 @@ int Server::serveForever() {
         Journal.event("conn-open").num("conn", NewConn->Id);
       }
     }
-    for (size_t I = 0; I < Polled.size(); ++I)
-      if (Fds[I + 2].revents)
+    for (size_t I = 0; I < Polled.size(); ++I) {
+      const pollfd &P = Fds[I + 2];
+      if (P.revents & (POLLOUT | POLLERR | POLLHUP)) {
+        std::lock_guard<std::mutex> Lock(Polled[I]->Mutex);
+        flushLocked(*Polled[I]);
+      }
+      if ((P.events & POLLIN) && (P.revents & (POLLIN | POLLERR | POLLHUP)))
         handleConnReadable(Polled[I]);
+    }
   }
 
   // Shutdown: stop accepting, let queued requests finish (the pool
-  // drains its queue on destruction), then drop the connections.
+  // drains its queue on destruction), give their replies a bounded
+  // chance to drain, then drop the connections.
   Listener.close();
   Pool.reset();
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (std::chrono::steady_clock::now() < Deadline) {
+    Fds.clear();
+    Polled.clear();
+    for (auto &KV : Conns) {
+      std::lock_guard<std::mutex> Lock(KV.second->Mutex);
+      if (!KV.second->Dead && !KV.second->Out.empty()) {
+        Fds.push_back({KV.first, POLLOUT, 0});
+        Polled.push_back(KV.second);
+      }
+    }
+    if (Fds.empty() || pollRetry(Fds.data(), Fds.size(), 100) < 0)
+      break;
+    for (size_t I = 0; I < Polled.size(); ++I)
+      if (Fds[I].revents) {
+        std::lock_guard<std::mutex> Lock(Polled[I]->Mutex);
+        flushLocked(*Polled[I]);
+      }
+  }
   uint64_t Served = Requests.load(std::memory_order_relaxed);
   Journal.event("serve-stop").num("requests", Served);
   Conns.clear();
@@ -134,6 +187,10 @@ void Server::handleConnReadable(const std::shared_ptr<Conn> &C) {
   bool Open = C->In.fill(C->Fd);
   std::string Line;
   while (C->In.popLine(Line)) {
+    {
+      std::lock_guard<std::mutex> Lock(C->Mutex);
+      ++C->InFlight;
+    }
     auto Self = C;
     std::string Captured = std::move(Line);
     Pool->submit([this, Self, Captured]() mutable {
@@ -143,17 +200,16 @@ void Server::handleConnReadable(const std::shared_ptr<Conn> &C) {
   }
   if (Open && C->In.pending() > Opts.MaxRequestBytes) {
     ProtocolErrors.fetch_add(1, std::memory_order_relaxed);
-    sendReply(C, "{\"ok\":false,\"error\":\"request line exceeds " +
-                     std::to_string(Opts.MaxRequestBytes) + " bytes\"}");
+    sendReply(*C, "{\"ok\":false,\"error\":\"request line exceeds " +
+                      std::to_string(Opts.MaxRequestBytes) + " bytes\"}",
+              false);
     Open = false;
   }
   if (!Open) {
-    C->Dead.store(true, std::memory_order_relaxed);
-    Journal.event("conn-close").num("conn", C->Id);
-    Conns.erase(C->Fd);
-    // Queued replies for this conn still hold shared_ptr references;
-    // the fd closes when the last of them drops. Their writes fail
-    // harmlessly (Dead short-circuits; SIGPIPE is ignored).
+    // No more reads; the poll loop retires the connection once its
+    // in-flight requests are answered and their replies written.
+    std::lock_guard<std::mutex> Lock(C->Mutex);
+    C->Closing = true;
   }
 }
 
@@ -182,22 +238,51 @@ void Server::handleLine(std::shared_ptr<Conn> C, std::string Line) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - T0)
           .count());
-  sendReply(C, Reply);
+  sendReply(*C, Reply, true);
   Journal.event("request").num("conn", C->Id).num("micros", Micros).flag(
       "shutdown", Shutdown);
   if (Shutdown)
     requestStop();
 }
 
-void Server::sendReply(const std::shared_ptr<Conn> &C,
-                       std::string_view Reply) {
-  std::lock_guard<std::mutex> Lock(C->WriteMutex);
-  if (C->Dead.load(std::memory_order_relaxed))
-    return;
-  std::string Framed(Reply);
-  Framed += '\n';
-  if (!writeAll(C->Fd, Framed))
-    C->Dead.store(true, std::memory_order_relaxed);
+void Server::sendReply(Conn &C, std::string_view Reply, bool Answers) {
+  bool Wake;
+  {
+    std::lock_guard<std::mutex> Lock(C.Mutex);
+    if (Answers)
+      --C.InFlight;
+    if (!C.Dead) {
+      C.Out += Reply;
+      C.Out += '\n';
+      flushLocked(C);
+    }
+    // The loop must poll for POLLOUT, or retire the connection.
+    Wake = !C.Out.empty() || C.Dead || (C.Closing && C.InFlight == 0);
+  }
+  if (Wake)
+    wake();
+}
+
+void Server::flushLocked(Conn &C) {
+  size_t Sent = 0;
+  while (!C.Dead && Sent < C.Out.size()) {
+    ssize_t N = ::write(C.Fd, C.Out.data() + Sent, C.Out.size() - Sent);
+    if (N >= 0) {
+      Sent += static_cast<size_t>(N);
+    } else if (errno == EINTR) {
+      continue;
+    } else if (wouldBlock(errno)) {
+      break;
+    } else {
+      // The peer is gone (SIGPIPE is ignored): drop what is left and
+      // shut the socket down so nothing waits on it.
+      C.Dead = true;
+      ::shutdown(C.Fd, SHUT_RDWR);
+      C.Out.clear();
+      return;
+    }
+  }
+  C.Out.erase(0, Sent);
 }
 
 namespace {

@@ -8,8 +8,9 @@
 /// \file
 /// The engine behind tools/lna-serve: a resident analysis service on a
 /// Unix-domain socket. One JSON request per line, one JSON reply per
-/// line (order not guaranteed across concurrent requests on one
-/// connection -- replies echo the request's "id" for correlation).
+/// line. A client may pipeline requests; their replies on one
+/// connection may come out of order (requests run concurrently), so
+/// replies echo the request's "id" for correlation.
 ///
 /// Requests:
 ///
@@ -45,10 +46,16 @@
 /// thread-local scopes inside runInvocation(), and the worker scrubs
 /// the thread's obs slots around the request (exchangeThreadTraceSink /
 /// exchangeThreadMetrics), so pooled threads give every request
-/// fresh-process isolation. Connection lifetime is shared_ptr-managed:
-/// the poll loop drops its reference when the peer hangs up, but the fd
-/// closes only when the last queued worker reply drops its reference --
-/// a late reply writes into an EPIPE, never into a recycled fd.
+/// fresh-process isolation. Replies go through a per-connection outbound
+/// buffer: the worker writes what the socket takes without blocking and
+/// the poll loop drains the rest on POLLOUT, so a slow reader delays its
+/// replies but never loses one. When the peer stops sending (EOF, or a
+/// protocol error), the connection stays registered until its in-flight
+/// requests are answered and its buffer has drained, then is shut down
+/// so the client sees EOF; one whose write fails is shut down at once.
+/// Connection lifetime is shared_ptr-managed: the fd closes only when
+/// the last queued worker reply drops its reference, so a late reply
+/// never writes into a recycled fd.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -118,21 +125,33 @@ private:
   struct Conn {
     int Fd = -1;
     uint64_t Id = 0;
-    LineBuffer In;
-    std::mutex WriteMutex;
-    std::atomic<bool> Dead{false};
+    LineBuffer In; ///< poll loop only
+    /// Guards the fields below, written by workers and the poll loop.
+    std::mutex Mutex;
+    std::string Out;       ///< framed replies the socket has not taken
+    uint32_t InFlight = 0; ///< dispatched requests not yet answered
+    bool Closing = false;  ///< the peer is done sending; no more reads
+    bool Dead = false;     ///< a write failed; the socket is shut down
     ~Conn();
   };
 
   void handleConnReadable(const std::shared_ptr<Conn> &C);
-  /// Worker-thread entry: process one request line, write one reply.
+  /// Worker-thread entry: process one request line, queue one reply.
   void handleLine(std::shared_ptr<Conn> C, std::string Line);
   /// Builds the reply for one line. Sets \p Shutdown for "shutdown".
   std::string processLine(const std::string &Line, bool &Shutdown);
   std::string runAnalyzeCmd(const std::string &IdField,
                             const std::string &Cmd, const JsonValue &Req);
   std::string statsReply(const std::string &IdField) const;
-  void sendReply(const std::shared_ptr<Conn> &C, std::string_view Reply);
+  /// Appends one framed reply to \p C's outbound buffer and writes what
+  /// the socket takes; \p Answers marks the reply to a dispatched
+  /// request. Wakes the poll loop when it has work left for \p C.
+  void sendReply(Conn &C, std::string_view Reply, bool Answers);
+  /// Writes \p C's buffer until the socket would block; on a write
+  /// error marks it dead and shuts the socket down. Caller holds Mutex.
+  static void flushLocked(Conn &C);
+  /// Wakes the poll loop (one byte on the self-pipe).
+  void wake();
 
   ServerOptions Opts;
   UnixListener Listener;

@@ -56,12 +56,15 @@ struct Adjacency {
   }
 };
 
-/// Iterative Tarjan over the forward graph. Components are numbered in
-/// pop order, so every condensation edge goes from a higher-numbered
-/// component to a lower-numbered one: descending component index is a
-/// topological order (sources first), ascending is sinks-first.
-struct TarjanSCC {
-  const Adjacency &Adj;
+/// Iterative Tarjan over the forward graph: any CSR-shaped \p Graph
+/// whose begin(N)/end(N) bound node N's targets as `const uint32_t *`
+/// (an Adjacency, or a caller's own grouped edge storage, read in
+/// place). Components are numbered in pop order, so every condensation
+/// edge goes from a higher-numbered component to a lower-numbered one:
+/// descending component index is a topological order (sources first),
+/// ascending is sinks-first.
+template <typename Graph> struct TarjanSCC {
+  const Graph &Adj;
   uint32_t NumNodes;
   std::vector<uint32_t> Comp, Index, Low;
   std::vector<uint8_t> OnStack; ///< bytes, not vector<bool> bits: this is
@@ -70,7 +73,7 @@ struct TarjanSCC {
   uint32_t NextIndex = 0, NumComps = 0;
   static constexpr uint32_t Unvisited = ~0u;
 
-  TarjanSCC(const Adjacency &Adj, uint32_t NumNodes)
+  TarjanSCC(const Graph &Adj, uint32_t NumNodes)
       : Adj(Adj), NumNodes(NumNodes), Comp(NumNodes, Unvisited),
         Index(NumNodes, Unvisited), Low(NumNodes, 0), OnStack(NumNodes, false) {
     for (uint32_t N = 0; N < NumNodes; ++N)

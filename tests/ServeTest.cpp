@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace lna;
@@ -760,6 +761,132 @@ TEST(ServeDaemon, EightConcurrentClientsGetConsistentAnswers) {
   EXPECT_GE(*Stats.field("stats")->field("requests")->asNumber(),
             2.0 + NumClients * PerClient);
   EXPECT_EQ(D.shutdown(), 0);
+}
+
+/// Reads reply lines from \p Fd until \p Want have arrived, EOF, or
+/// \p IdleMs pass with nothing to read; returns the lines read.
+std::vector<std::string> readReplies(int Fd, size_t Want, int IdleMs,
+                                     bool &SawEof) {
+  std::vector<std::string> Lines;
+  LineBuffer In;
+  SawEof = false;
+  while (Lines.size() < Want) {
+    pollfd P = {Fd, POLLIN, 0};
+    if (pollRetry(&P, 1, IdleMs) <= 0)
+      break;
+    std::string Chunk;
+    long N = readSome(Fd, Chunk);
+    if (N <= 0) {
+      SawEof = N == 0;
+      break;
+    }
+    In.feed(Chunk);
+    std::string Line;
+    while (In.popLine(Line))
+      Lines.push_back(std::move(Line));
+  }
+  return Lines;
+}
+
+/// Checks that \p Lines are exactly one well-formed, successful reply
+/// per id p0..p(N-1), in any order.
+void expectOneReplyPerId(const std::vector<std::string> &Lines, int N) {
+  EXPECT_EQ(Lines.size(), static_cast<size_t>(N));
+  std::set<std::string> Ids;
+  int Malformed = 0, Duplicates = 0, Missing = 0;
+  for (const std::string &Line : Lines) {
+    auto Reply = JsonValue::parse(Line);
+    if (!Reply || !Reply->field("id") || !Reply->field("id")->asString() ||
+        Reply->field("ok")->asBool() != true)
+      ++Malformed;
+    else if (!Ids.insert(*Reply->field("id")->asString()).second)
+      ++Duplicates;
+  }
+  for (int I = 0; I < N; ++I)
+    Missing += Ids.count("p" + std::to_string(I)) == 0;
+  EXPECT_EQ(Malformed, 0);
+  EXPECT_EQ(Duplicates, 0);
+  EXPECT_EQ(Missing, 0);
+}
+
+/// A second connection to \p D for a pipelined burst. SIGPIPE is
+/// ignored, so a daemon that drops the connection fails the test
+/// instead of killing it.
+int connectForBurst(ServeDaemon &D) {
+  ignoreSigPipe();
+  std::string Error;
+  int Fd = connectUnix(D.socketPath(), Error);
+  EXPECT_GE(Fd, 0) << Error;
+  return Fd;
+}
+
+std::string pipelinedBurst(int N) {
+  std::string Source = readFile(fixturePath("demo.lna"));
+  std::string Burst;
+  for (int I = 0; I < N; ++I)
+    Burst += ServeDaemon::encodeRequest("p" + std::to_string(I), "analyze",
+                                        Source, {"--print-annotated"}) +
+             "\n";
+  return Burst;
+}
+
+// Regression: replies used to be written straight to the non-blocking
+// socket, so once a slow reader let the socket buffer fill, the first
+// EAGAIN marked the connection dead and every later reply was dropped
+// while the fd stayed open -- the client got a few hundred replies and
+// then waited forever.
+TEST(ServeDaemon, SlowReaderOfAPipelinedBurstGetsEveryReply) {
+  ServeDaemon D({"--threads=4"});
+  constexpr int N = 3000;
+  int Fd = connectForBurst(D);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(writeAll(Fd, pipelinedBurst(N)));
+  // Let the daemon answer everything into a full socket before reading.
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  bool SawEof = false;
+  std::vector<std::string> Lines = readReplies(Fd, N, 20000, SawEof);
+  EXPECT_FALSE(SawEof);
+  expectOneReplyPerId(Lines, N);
+  ::close(Fd);
+  EXPECT_EQ(D.shutdown(), 0);
+}
+
+// A client that half-closes after its burst still gets every reply, and
+// then EOF: the daemon keeps a closing connection until its replies
+// have drained, then shuts it down.
+TEST(ServeDaemon, HalfClosedClientGetsEveryReplyThenEof) {
+  ServeDaemon D({"--threads=4"});
+  constexpr int N = 1500;
+  int Fd = connectForBurst(D);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(writeAll(Fd, pipelinedBurst(N)));
+  ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  bool SawEof = false;
+  std::vector<std::string> Lines = readReplies(Fd, N + 1, 20000, SawEof);
+  EXPECT_TRUE(SawEof) << "no EOF after " << Lines.size() << " replies";
+  expectOneReplyPerId(Lines, N);
+  ::close(Fd);
+  EXPECT_EQ(D.shutdown(), 0);
+}
+
+// A shutdown at the end of a pipelined burst still answers every request
+// before it: the daemon finishes the queued requests and drains their
+// replies to a reader that is a little slow, then closes.
+TEST(ServeDaemon, ShutdownAnswersEveryPipelinedRequestFirst) {
+  ServeDaemon D({"--threads=4"});
+  constexpr int N = 1000;
+  int Fd = connectForBurst(D);
+  ASSERT_GE(Fd, 0);
+  ASSERT_TRUE(writeAll(Fd, pipelinedBurst(N) + "{\"id\":\"p" +
+                               std::to_string(N) +
+                               "\",\"cmd\":\"shutdown\"}\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  bool SawEof = false;
+  std::vector<std::string> Lines = readReplies(Fd, N + 2, 20000, SawEof);
+  EXPECT_TRUE(SawEof) << "no EOF after " << Lines.size() << " replies";
+  expectOneReplyPerId(Lines, N + 1);
+  ::close(Fd);
 }
 
 TEST(ServeDaemon, EventsJournalRecordsTheLifecycle) {

@@ -29,6 +29,11 @@
 //    baseline's solutions (and, where no conditional fires, CHECK-SAT's
 //    answers), and a hard module's probes stay below its propagated
 //    elements.
+//  * Constraints live in flat logs read through a per-variable view:
+//    constraints added after solve(), reaches() or explainReach() are
+//    seen by the next call, each variable's edges keep their insertion
+//    order (explain witnesses, checksat-visits), and explain paths cross
+//    fired edges with the conditional's provenance.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +44,7 @@
 #include "effects/SmallElemSet.h"
 #include "lang/AstPrinter.h"
 #include "obs/Metrics.h"
+#include "obs/Provenance.h"
 #include "obs/Trace.h"
 #include "qual/LockAnalysis.h"
 
@@ -898,6 +904,211 @@ TEST(SolverHolderIndexRegression, HardModuleProbesBelowPropagatedElems) {
   const SolverStats &SS = S.result().State->CS.stats();
   EXPECT_GT(SS.InterProbes, 0u);
   EXPECT_LE(SS.InterProbes, SS.PropagatedElems);
+}
+
+//===----------------------------------------------------------------------===//
+// Flat constraint logs and the per-variable view.
+//===----------------------------------------------------------------------===//
+
+/// A constraint system built in the mode the test asks for; the
+/// environment is restored before any constraint is added.
+struct ModeSystem {
+  LocTable Locs;
+  std::unique_ptr<ConstraintSystem> CS;
+  explicit ModeSystem(bool Baseline) {
+    if (Baseline)
+      setenv("LNA_SOLVER_BASELINE", "1", 1);
+    else
+      unsetenv("LNA_SOLVER_BASELINE");
+    CS = std::make_unique<ConstraintSystem>(Locs);
+    unsetenv("LNA_SOLVER_BASELINE");
+  }
+};
+
+/// Every CHECK-SAT answer and explain path of \p CS, rendered.
+std::string queryOutcome(const ConstraintSystem &CS, const LocTable &Locs) {
+  std::string Out;
+  for (LocId Rho = 0; Rho < Locs.size(); ++Rho)
+    for (EffVar V = 0; V < CS.numVars(); ++V)
+      for (EffectKind K :
+           {EffectKind::Read, EffectKind::Write, EffectKind::Alloc}) {
+        bool Reaches = CS.reaches(K, Rho, V);
+        std::vector<ExplainStep> Path = CS.explainReach(K, Rho, V);
+        EXPECT_EQ(Reaches, !Path.empty())
+            << "rho" << Rho << " v" << V << " kind " << static_cast<int>(K);
+        Out += Reaches ? '1' : '0';
+        Out += renderConstraintPath(Path);
+      }
+  return Out;
+}
+
+std::string solvedOutcome(ConstraintSystem &CS) {
+  CS.solve();
+  std::string Out;
+  for (EffVar V = 0; V < CS.numVars(); ++V)
+    Out += "v" + std::to_string(V) + " " + CS.solutionToString(V) + "\n";
+  return Out;
+}
+
+// The first batch: v0 -> v1 -> v2, read(l0) in v0, alloc(l2) in v3.
+// With \p AllVars it also creates v4 and v5, which only the second
+// batch uses, so that batch grows the logs but not the variable count.
+void buildFirstBatch(ModeSystem &M, bool AllVars) {
+  ConstraintSystem &CS = *M.CS;
+  for (int I = 0; I < 3; ++I)
+    M.Locs.fresh();
+  for (int I = 0; I < (AllVars ? 6 : 4); ++I)
+    CS.makeVar();
+  CS.setOrigin({1, 1}, "first batch");
+  CS.addEdge(0, 1);
+  CS.addEdge(1, 2);
+  CS.addElement(EffectKind::Read, 0, 0);
+  CS.addElement(EffectKind::Alloc, 2, 3);
+}
+
+// The second batch touches every log: edges out of v2, v3 and v4 (one
+// closing a cycle), a seed on v2, and an intersection fed by v1.
+void buildSecondBatch(ModeSystem &M, bool AllVars) {
+  ConstraintSystem &CS = *M.CS;
+  EffVar V4 = AllVars ? 4 : CS.makeVar(), V5 = AllVars ? 5 : CS.makeVar();
+  CS.setOrigin({2, 1}, "second batch");
+  CS.addEdge(2, V4);
+  CS.addEdge(V4, 1);
+  CS.addEdge(3, V5);
+  CS.addElement(EffectKind::Write, 1, 2);
+  CS.addIntersection(InterOperand::var(1),
+                     InterOperand::elem(EffectElem(EffectKind::Read, 0)), 3);
+}
+
+enum class FirstCall { Solve, Reaches, Explain };
+
+/// Builds the first batch, runs \p First, adds the second batch, then
+/// returns the solutions and every query answer.
+std::string incrementalOutcome(FirstCall First, bool AllVars, bool Baseline) {
+  ModeSystem M(Baseline);
+  M.CS->enableOriginTracking();
+  buildFirstBatch(M, AllVars);
+  switch (First) {
+  case FirstCall::Solve:
+    M.CS->solve();
+    break;
+  case FirstCall::Reaches:
+    EXPECT_TRUE(M.CS->reaches(EffectKind::Read, 0, 2));
+    break;
+  case FirstCall::Explain:
+    EXPECT_EQ(M.CS->explainReach(EffectKind::Read, 0, 2).size(), 3u);
+    break;
+  }
+  buildSecondBatch(M, AllVars);
+  std::string Queries = queryOutcome(*M.CS, M.Locs);
+  return solvedOutcome(*M.CS) + Queries;
+}
+
+TEST(SolverFlatLogs, ConstraintsAddedAfterAQueryAreSeenByTheNext) {
+  // The reference: both batches added before any query.
+  ModeSystem Fresh(false);
+  Fresh.CS->enableOriginTracking();
+  buildFirstBatch(Fresh, true);
+  buildSecondBatch(Fresh, true);
+  std::string Queries = queryOutcome(*Fresh.CS, Fresh.Locs);
+  std::string Expected = solvedOutcome(*Fresh.CS) + Queries;
+  // Spot checks that the second batch matters to the answers.
+  EXPECT_TRUE(Fresh.CS->member(EffectKind::Read, 0, 3));  // intersection
+  EXPECT_TRUE(Fresh.CS->member(EffectKind::Write, 1, 4)); // seed, edge
+  EXPECT_TRUE(Fresh.CS->member(EffectKind::Alloc, 2, 5)); // edge v3 -> v5
+  for (FirstCall First :
+       {FirstCall::Solve, FirstCall::Reaches, FirstCall::Explain})
+    for (bool AllVars : {false, true})
+      for (bool Baseline : {false, true})
+        EXPECT_EQ(incrementalOutcome(First, AllVars, Baseline), Expected)
+            << "first call " << static_cast<int>(First)
+            << (AllVars ? ", variables up front" : "")
+            << (Baseline ? ", baseline" : "");
+}
+
+// Edges out of v0 and v1 interleaved with other variables' edges, and
+// v0 -> v2 added twice: the per-variable view must keep each variable's
+// edges in insertion order.
+//
+//   v0 -> v1, v0 -> v2 (twice), v1 -> v3, v2 -> v4, v4 -> v5
+//
+// CHECK-SAT's DFS for read(l0), seeded in v0, pushes v1 then v2, so it
+// pops v2 first and reaches v5 after visiting v0, v1, v2, v4, v5; with
+// v0's edges reversed it would visit v3 as well.
+void buildInterleavedEdges(ModeSystem &M) {
+  ConstraintSystem &CS = *M.CS;
+  M.Locs.fresh();
+  for (int I = 0; I < 8; ++I)
+    CS.makeVar();
+  CS.setOrigin({1, 1}, "seed");
+  CS.addElement(EffectKind::Read, 0, 0);
+  CS.setOrigin({2, 1}, "first v0 -> v1");
+  CS.addEdge(0, 1);
+  CS.setOrigin({3, 1}, "unrelated");
+  CS.addEdge(6, 7);
+  CS.setOrigin({4, 1}, "first v0 -> v2");
+  CS.addEdge(0, 2);
+  CS.setOrigin({5, 1}, "unrelated");
+  CS.addEdge(7, 6);
+  CS.setOrigin({6, 1}, "v1 -> v3");
+  CS.addEdge(1, 3);
+  CS.setOrigin({7, 1}, "second v0 -> v2");
+  CS.addEdge(0, 2);
+  CS.setOrigin({8, 1}, "v2 -> v4");
+  CS.addEdge(2, 4);
+  CS.setOrigin({9, 1}, "unrelated");
+  CS.addEdge(3, 6);
+  CS.setOrigin({10, 1}, "v4 -> v5");
+  CS.addEdge(4, 5);
+}
+
+TEST(SolverFlatLogs, InterleavedEdgesKeepInsertionOrder) {
+  for (bool Baseline : {false, true}) {
+    ModeSystem M(Baseline);
+    M.CS->enableOriginTracking();
+    buildInterleavedEdges(M);
+    EXPECT_TRUE(M.CS->reaches(EffectKind::Read, 0, 5));
+    EXPECT_EQ(M.CS->stats().CheckSatVisited, 5u)
+        << (Baseline ? "baseline" : "collapsed");
+    EXPECT_EQ(renderConstraintPath(M.CS->explainReach(EffectKind::Read, 0, 5)),
+              "  1. v4 -> v5 at 10:1\n"
+              "  2. v2 -> v4 at 8:1\n"
+              "  3. first v0 -> v2 at 4:1\n"
+              "  4. seed at 1:1\n")
+        << (Baseline ? "baseline" : "collapsed");
+  }
+}
+
+TEST(SolverFlatLogs, ExplainPathThroughAFiredEdgeCarriesTheNote) {
+  // read(l0) in v0; if any access to T reaches v2, then v0 <= v1. The
+  // path from v1 back to the seed crosses the fired edge.
+  for (bool Baseline : {false, true}) {
+    ModeSystem M(Baseline);
+    ConstraintSystem &CS = *M.CS;
+    CS.enableOriginTracking();
+    LocId L0 = M.Locs.fresh(), T = M.Locs.fresh();
+    for (int I = 0; I < 3; ++I)
+      CS.makeVar();
+    CS.setOrigin({1, 5}, "the access");
+    CS.addElement(EffectKind::Read, L0, 0);
+    CS.addElement(EffectKind::Write, T, 2);
+    CS.setOrigin({3, 7}, "the confine? candidate");
+    CondConstraint C;
+    C.P = CondConstraint::Premise::LocInVar;
+    C.Rho = T;
+    C.Var = 2;
+    C.Actions = {{CondAction::Kind::AddEdge, 0, 1}};
+    CS.addConditional(std::move(C));
+    // The firing, not whatever origin is current, stamps the edge.
+    CS.setOrigin({9, 9}, "a later construct");
+    EXPECT_TRUE(CS.explainReach(EffectKind::Read, L0, 1).empty());
+    CS.solve();
+    EXPECT_EQ(CS.stats().CondFirings, 1u);
+    EXPECT_EQ(renderConstraintPath(CS.explainReach(EffectKind::Read, L0, 1)),
+              "  1. the confine? candidate at 3:7\n"
+              "  2. the access at 1:5\n")
+        << (Baseline ? "baseline" : "collapsed");
+  }
 }
 
 } // namespace

@@ -2,8 +2,9 @@
 # run-checks.sh - sanitizer gauntlet:
 #
 #  1. Build the ThreadSanitizer preset and run the tests that exercise
-#     the parallel corpus runner under it (the only concurrency in the
-#     project), then (optionally) the full suite.
+#     the parallel corpus runner and the lna-serve daemon (worker
+#     threads sharing per-connection reply buffers with the poll loop)
+#     under it, then (optionally) the full suite.
 #  2. Build the asan-ubsan preset and run a 30-second lna-fuzz smoke on
 #     it: the differential oracles cross-check the analyses while the
 #     sanitizers watch the interpreter/solver memory behavior, plus the
@@ -31,7 +32,11 @@
 #     reports between the collapsed solver and the LNA_SOLVER_BASELINE=1
 #     uncollapsed solver for both alias backends (the baseline also keeps
 #     the pre-index probing of every intersection feed, so the diff
-#     cross-checks the holder index too), and solver-agreement fuzz smoke
+#     cross-checks the holder index too), the same diff of
+#     `--check --explain --stats` and `--backwards --stats` on the four
+#     fixtures (provenance replay and the backwards scope read the
+#     per-variable constraint view off the hot path), and solver-agreement
+#     fuzz smoke
 #     runs, which check propagation against CHECK-SAT, under both alias
 #     backends with the collapse and the index enabled (the default, but
 #     stated here because this is the hot path the optimizations
@@ -80,9 +85,9 @@ echo "== configure + build (tsan preset) =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 
-echo "== tsan: session driver + parallel corpus tests =="
+echo "== tsan: session driver + parallel corpus + daemon tests =="
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'Session\.|Corpus\.Parallel|Corpus\.Experiment|cli_corpus'
+  -R 'Session\.|Corpus\.Parallel|Corpus\.Experiment|cli_corpus|ServeDaemon\.'
 
 if [ "$FULL" -eq 1 ]; then
   echo "== tsan: full suite =="
@@ -167,6 +172,32 @@ for backend in steensgaard andersen; do
     | grep -v wall-clock > "build-asan-ubsan/solver_base_$backend.txt"
   cmp "build-asan-ubsan/solver_opt_$backend.txt" \
     "build-asan-ubsan/solver_base_$backend.txt"
+done
+
+echo "== asan-ubsan: collapsed-vs-baseline explain and backwards-scope identity =="
+# The two readers of the per-variable constraint view that the corpus
+# diff above does not reach: provenance replay (--explain) and the
+# backwards-search scope (--backwards). run_stripped OUT CMD... runs CMD
+# into OUT with its exit status appended and timings stripped.
+run_stripped() {
+  out=$1
+  shift
+  status=0
+  "$@" > "$out" 2>&1 || status=$?
+  echo "exit $status" >> "$out"
+  sed -i -E 's/ *[0-9]+\.[0-9]+ ms/ T ms/' "$out"
+}
+for fixture in tests/fixtures/*.lna; do
+  for flags in "--check --explain --stats" "--backwards --stats"; do
+    tag=$(basename "$fixture" .lna)$(echo "$flags" | tr -d ' -')
+    run_stripped "build-asan-ubsan/solver_opt_$tag.txt" \
+      ./build-asan-ubsan/tools/lna-analyze $flags "$fixture"
+    run_stripped "build-asan-ubsan/solver_base_$tag.txt" \
+      env LNA_SOLVER_BASELINE=1 ./build-asan-ubsan/tools/lna-analyze $flags \
+      "$fixture"
+    cmp "build-asan-ubsan/solver_opt_$tag.txt" \
+      "build-asan-ubsan/solver_base_$tag.txt"
+  done
 done
 
 echo "== asan-ubsan: solver-agreement fuzz smoke =="
