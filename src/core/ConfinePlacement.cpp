@@ -52,14 +52,14 @@ const Expr *lna::cloneExpr(ASTContext &Ctx, const Expr *E) {
     std::vector<const Expr *> Args;
     for (const Expr *A : C->args())
       Args.push_back(cloneExpr(Ctx, A));
-    return Ctx.call(Loc, C->callee(), std::move(Args));
+    return Ctx.call(Loc, C->callee(), Args);
   }
   case Expr::Kind::Block: {
     const auto *B = cast<BlockExpr>(E);
     std::vector<const Expr *> Stmts;
     for (const Expr *S : B->stmts())
       Stmts.push_back(cloneExpr(Ctx, S));
-    return Ctx.block(Loc, std::move(Stmts));
+    return Ctx.block(Loc, Stmts);
   }
   case Expr::Kind::Bind: {
     const auto *B = cast<BindExpr>(E);
@@ -233,7 +233,7 @@ private:
         Changed |= RA != A;
         Args.push_back(RA);
       }
-      return Changed ? Ctx.call(E->loc(), C->callee(), std::move(Args)) : E;
+      return Changed ? Ctx.call(E->loc(), C->callee(), Args) : E;
     }
     case Expr::Kind::Block:
       return rewriteBlock(cast<BlockExpr>(E));
@@ -322,7 +322,7 @@ private:
     }
 
     if (Ranges.empty())
-      return Changed ? Ctx.block(B->loc(), std::move(Stmts)) : B;
+      return Changed ? Ctx.block(B->loc(), Stmts) : B;
 
     // Resolve partial overlaps between different subjects' ranges by
     // widening to the union, so the final set is properly nested.
@@ -356,7 +356,7 @@ private:
     std::vector<const Expr *> Out =
         emit(Stmts, Ranges, 0, static_cast<uint32_t>(Stmts.size()), 0,
              static_cast<uint32_t>(Ranges.size()));
-    return Ctx.block(B->loc(), std::move(Out));
+    return Ctx.block(B->loc(), Out);
   }
 
   /// Emits statements [Lo, Hi), wrapping ranges [RLo, RHi) (sorted, nested
@@ -381,7 +381,7 @@ private:
         std::vector<const Expr *> InnerStmts =
             emit(Stmts, Ranges, Outer.Begin, Outer.End, InnerLo, InnerHi);
         const Expr *Body =
-            Ctx.block(Stmts[Outer.Begin]->loc(), std::move(InnerStmts));
+            Ctx.block(Stmts[Outer.Begin]->loc(), InnerStmts);
         const Expr *Subject = cloneExpr(Ctx, Outer.Subject);
         const Expr *Conf =
             Ctx.confine(Stmts[Outer.Begin]->loc(), Subject, Body);

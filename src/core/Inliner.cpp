@@ -122,14 +122,14 @@ private:
       std::vector<const Expr *> Args;
       for (const Expr *A : C->args())
         Args.push_back(cloneSubst(A, Rename));
-      return Ctx.call(Loc, C->callee(), std::move(Args));
+      return Ctx.call(Loc, C->callee(), Args);
     }
     case Expr::Kind::Block: {
       const auto *B = cast<BlockExpr>(E);
       std::vector<const Expr *> Stmts;
       for (const Expr *S : B->stmts())
         Stmts.push_back(cloneSubst(S, Rename));
-      return Ctx.block(Loc, std::move(Stmts));
+      return Ctx.block(Loc, Stmts);
     }
     case Expr::Kind::Bind: {
       const auto *B = cast<BindExpr>(E);
@@ -245,14 +245,10 @@ private:
     }
     case Expr::Kind::FieldAddr:
       return Ctx.fieldAddr(Loc, Next(), cast<FieldAddrExpr>(E)->field());
-    case Expr::Kind::Call: {
-      std::vector<const Expr *> Args(Children.begin(), Children.end());
-      return Ctx.call(Loc, cast<CallExpr>(E)->callee(), std::move(Args));
-    }
-    case Expr::Kind::Block: {
-      std::vector<const Expr *> Stmts(Children.begin(), Children.end());
-      return Ctx.block(Loc, std::move(Stmts));
-    }
+    case Expr::Kind::Call:
+      return Ctx.call(Loc, cast<CallExpr>(E)->callee(), Children);
+    case Expr::Kind::Block:
+      return Ctx.block(Loc, Children);
     case Expr::Kind::Bind: {
       const Expr *Init = Next(), *Body = Next();
       const auto *B = cast<BindExpr>(E);

@@ -7,11 +7,10 @@
 
 #include "corpus/Corpus.h"
 
+#include "support/FileIO.h"
 #include "support/Rng.h"
 
 #include <cassert>
-#include <fstream>
-#include <sstream>
 
 using namespace lna;
 
@@ -35,19 +34,9 @@ ModuleSpec lna::loadModuleFile(const std::string &Path) {
   ModuleSpec Spec;
   Spec.Name = Path;
   Spec.Category = ModuleCategory::External;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
+  if (readWholeFile(Path, Spec.Source) != 0)
     Spec.LoadError = "cannot open module file";
-    return Spec;
-  }
-  std::ostringstream Contents;
-  Contents << In.rdbuf();
-  if (In.bad()) {
-    Spec.LoadError = "error reading module file";
-    return Spec;
-  }
-  Spec.Source = Contents.str();
-  if (Spec.Source.empty())
+  else if (Spec.Source.empty())
     Spec.LoadError = "empty module file";
   return Spec;
 }

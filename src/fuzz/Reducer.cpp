@@ -146,7 +146,7 @@ private:
       std::vector<const Expr *> Args;
       for (const Expr *A : C->args())
         Args.push_back(expr(A));
-      return Dst.call(X->loc(), sym(C->callee()), std::move(Args));
+      return Dst.call(X->loc(), sym(C->callee()), Args);
     }
     case Expr::Kind::Block: {
       const auto *B = cast<BlockExpr>(X);
@@ -156,7 +156,7 @@ private:
           continue;
         Stmts.push_back(expr(B->stmts()[I]));
       }
-      return Dst.block(X->loc(), std::move(Stmts));
+      return Dst.block(X->loc(), Stmts);
     }
     case Expr::Kind::Bind: {
       const auto *B = cast<BindExpr>(X);

@@ -8,6 +8,13 @@
 /// \file
 /// A hand-written lexer. `//` line comments are skipped.
 ///
+/// The hot loops (whitespace, comments, identifiers, digits) scan the
+/// buffer directly against a 256-entry character-class table and add the
+/// scanned length to the column once, instead of a bounds-checked
+/// peek()/advance() per byte. Keywords are recognised by a switch on
+/// length and first character, so an identifier is hashed only once, by
+/// the interner.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LNA_LANG_LEXER_H
@@ -30,11 +37,9 @@ public:
 
 private:
   void skipTrivia();
-  char peek(size_t Ahead = 0) const;
-  char advance();
-  bool atEnd() const { return Pos >= Source.size(); }
-  SourceLoc here() const { return {Line, Col}; }
-  Token makeToken(TokenKind K, size_t Start, SourceLoc Loc) const;
+  /// Consumes \p Len bytes, none of them '\n', starting at Start as one
+  /// token of kind \p K at \p Loc.
+  Token makeToken(TokenKind K, size_t Start, size_t Len, SourceLoc Loc);
 
   std::string_view Source;
   Diagnostics &Diags;

@@ -19,6 +19,24 @@ struct NestScope {
   ~NestScope() { --D; }
 };
 
+/// One child list gathered on the parser's scratch stack; popped on every
+/// exit. A nested list pushes above it and pops before this one resumes,
+/// so its entries stay contiguous.
+class ScratchList {
+public:
+  explicit ScratchList(std::vector<const Expr *> &Stack)
+      : Stack(Stack), Base(Stack.size()) {}
+  ScratchList(const ScratchList &) = delete;
+  ScratchList &operator=(const ScratchList &) = delete;
+  ~ScratchList() { Stack.resize(Base); }
+  void push(const Expr *E) { Stack.push_back(E); }
+  ExprList list() const { return ExprList(Stack).subspan(Base); }
+
+private:
+  std::vector<const Expr *> &Stack;
+  size_t Base;
+};
+
 } // namespace
 
 bool Parser::tooDeep() {
@@ -31,6 +49,7 @@ bool Parser::tooDeep() {
 
 Parser::Parser(std::string_view Source, ASTContext &Ctx, Diagnostics &Diags)
     : Lex(Source, Diags), Ctx(Ctx), Diags(Diags) {
+  Ctx.reserveForSource(Source.size());
   Tok = Lex.next();
 }
 
@@ -303,17 +322,17 @@ const Expr *Parser::parsePostfix() {
 const Expr *Parser::parseBlock() {
   SourceLoc Loc = Tok.Loc;
   expect(TokenKind::LBrace);
-  std::vector<const Expr *> Stmts;
+  ScratchList Stmts(Scratch);
   while (!at(TokenKind::RBrace) && !at(TokenKind::Eof)) {
     const Expr *S = parseExpr();
     if (!S)
       break;
-    Stmts.push_back(S);
+    Stmts.push(S);
     if (!consumeIf(TokenKind::Semi))
       break;
   }
   expect(TokenKind::RBrace);
-  return Ctx.block(Loc, std::move(Stmts));
+  return Ctx.block(Loc, Stmts.list());
 }
 
 const Expr *Parser::parsePrimary() {
@@ -330,18 +349,18 @@ const Expr *Parser::parsePrimary() {
     if (!at(TokenKind::LParen))
       return Ctx.varRef(Loc, Name);
     bump();
-    std::vector<const Expr *> Args;
+    ScratchList Args(Scratch);
     if (!at(TokenKind::RParen)) {
       do {
         const Expr *A = parseExpr();
         if (!A)
           return nullptr;
-        Args.push_back(A);
+        Args.push(A);
       } while (consumeIf(TokenKind::Comma));
     }
     if (!expect(TokenKind::RParen))
       return nullptr;
-    return Ctx.call(Loc, Name, std::move(Args));
+    return Ctx.call(Loc, Name, Args.list());
   }
   case TokenKind::LParen: {
     bump();

@@ -93,6 +93,9 @@ private:
   Diagnostics &Diags;
   Token Tok;
   unsigned NestDepth = 0;
+  /// Call arguments and block statements being gathered, innermost list
+  /// on top; the factories copy a finished list into the arena.
+  std::vector<const Expr *> Scratch;
 };
 
 /// Convenience: lex+parse \p Source into \p Ctx.

@@ -61,6 +61,9 @@ public:
   /// Number of distinct symbols (including the reserved empty symbol).
   size_t size() const { return Texts.size(); }
 
+  /// Makes room for \p N distinct symbols without rehashing.
+  void reserve(size_t N) { Ids.reserve(N); }
+
 private:
   std::deque<std::string> Texts;
   std::unordered_map<std::string_view, uint32_t> Ids;

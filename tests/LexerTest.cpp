@@ -73,6 +73,85 @@ TEST(Lexer, IntegerLiteralValues) {
   EXPECT_EQ(Toks[2].IntValue, 123456);
 }
 
+TEST(Lexer, IntegerLiteralAtInt64MaxIsExact) {
+  Diagnostics Diags;
+  auto Toks = lexAll("9223372036854775807", Diags);
+  EXPECT_FALSE(Diags.hasErrors());
+  ASSERT_EQ(Toks.size(), 1u);
+  EXPECT_EQ(Toks[0].IntValue, INT64_MAX);
+}
+
+TEST(Lexer, IntegerLiteralOverflowIsReported) {
+  for (std::string_view Src :
+       {"9223372036854775808", "99999999999999999999",
+        "000000000000000000000000009223372036854775808"}) {
+    Diagnostics Diags;
+    auto Toks = lexAll(Src, Diags);
+    ASSERT_EQ(Diags.errorCount(), 1u) << Src;
+    EXPECT_EQ(Diags.all()[0].Message, "integer literal out of range") << Src;
+    EXPECT_EQ(Diags.all()[0].Loc, (SourceLoc{1, 1})) << Src;
+    // The literal stays one token, so the parser reports nothing more.
+    ASSERT_EQ(Toks.size(), 1u) << Src;
+    EXPECT_EQ(Toks[0].Kind, TokenKind::IntLit) << Src;
+  }
+}
+
+TEST(Lexer, LeadingZerosDoNotOverflow) {
+  Diagnostics Diags;
+  auto Toks = lexAll("00000000000000000000000042", Diags);
+  EXPECT_FALSE(Diags.hasErrors());
+  ASSERT_EQ(Toks.size(), 1u);
+  EXPECT_EQ(Toks[0].IntValue, 42);
+}
+
+TEST(Lexer, KeywordPrefixesAndExtensionsAreIdentifiers) {
+  for (std::string_view Src :
+       {"in1", "iff", "lets", "newarrayx", "int_", "_", "do_", "i", "ne",
+        "id", "io", "di", "newarra", "restric", "confinex", "structs", "whil",
+        "Let", "IN"}) {
+    Diagnostics Diags;
+    auto Toks = lexAll(Src, Diags);
+    ASSERT_EQ(Toks.size(), 1u) << Src;
+    EXPECT_EQ(Toks[0].Kind, TokenKind::Ident) << Src;
+    EXPECT_EQ(Toks[0].Text, Src);
+  }
+}
+
+TEST(Lexer, KeywordsEndAtNonIdentifierCharacters) {
+  EXPECT_EQ(kindsOf("in(if)do;new[int]"),
+            (std::vector<TokenKind>{
+                TokenKind::KwIn, TokenKind::LParen, TokenKind::KwIf,
+                TokenKind::RParen, TokenKind::KwDo, TokenKind::Semi,
+                TokenKind::KwNew, TokenKind::LBracket, TokenKind::KwInt,
+                TokenKind::RBracket}));
+}
+
+TEST(Lexer, LocationsAcrossTabsCarriageReturnsAndComments) {
+  // Every byte, tab and '\r' included, advances the column by one; only
+  // '\n' starts a new line.
+  Diagnostics Diags;
+  Lexer L("a\tb\r\nc // x\n\td // end\n  ", Diags);
+  std::vector<SourceLoc> Locs;
+  while (true) {
+    Token T = L.next();
+    Locs.push_back(T.Loc);
+    if (T.is(TokenKind::Eof))
+      break;
+  }
+  EXPECT_EQ(Locs, (std::vector<SourceLoc>{
+                      {1, 1}, {1, 3}, {2, 1}, {3, 2}, {4, 3}}));
+}
+
+TEST(Lexer, EofLocationAfterTrailingComment) {
+  Diagnostics Diags;
+  Lexer L("ab // c", Diags);
+  EXPECT_EQ(L.next().Loc, (SourceLoc{1, 1}));
+  Token End = L.next();
+  EXPECT_TRUE(End.is(TokenKind::Eof));
+  EXPECT_EQ(End.Loc, (SourceLoc{1, 8}));
+  EXPECT_EQ(L.next().Loc, (SourceLoc{1, 8})); // Eof stays put
+}
+
 TEST(Lexer, CompositeOperators) {
   EXPECT_EQ(kindsOf(":= == != -> = : - < >"),
             (std::vector<TokenKind>{TokenKind::Assign, TokenKind::EqEq,

@@ -5,8 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Corpus.h"
 #include "lang/AstPrinter.h"
 #include "lang/Parser.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -246,6 +248,60 @@ INSTANTIATE_TEST_SUITE_P(
         "fun f() : int { ((if nondet() then 1 else 2) + 3) }",
         "fun f(x : ptr int) : int { ((x := 4) + nondet()) }",
         "fun f() : int { new (let t = 1 in t); 0 }"));
+
+//===----------------------------------------------------------------------===//
+// Front-end equivalence on generated modules: the node count and the
+// printed text (length and digest) of two large corpus modules are
+// pinned, so any lexer or parser change that alters the AST shows here.
+//===----------------------------------------------------------------------===//
+
+struct GeneratedCase {
+  ModuleCategory Cat;
+  uint32_t SizeHint;
+  uint32_t AstNodes;
+  size_t PrintedBytes;
+  uint64_t PrintedDigest;
+};
+
+void PrintTo(const GeneratedCase &C, std::ostream *OS) {
+  *OS << moduleCategoryName(C.Cat) << ' ' << C.SizeHint;
+}
+
+class ParserGeneratedModules
+    : public ::testing::TestWithParam<GeneratedCase> {};
+
+TEST_P(ParserGeneratedModules, RoundTripsWithExactNodeCount) {
+  const GeneratedCase &C = GetParam();
+  ModuleSpec M = generateModule(C.Cat, /*Seed=*/7, C.SizeHint);
+
+  ASTContext Ctx1;
+  Diagnostics Diags1;
+  auto P1 = parse(M.Source, Ctx1, Diags1);
+  ASSERT_TRUE(P1.has_value()) << Diags1.render();
+  EXPECT_EQ(Ctx1.numExprs(), C.AstNodes);
+  std::string Printed1 = AstPrinter(Ctx1).print(*P1);
+  EXPECT_EQ(Printed1.size(), C.PrintedBytes);
+  EXPECT_EQ(Fnv1a().update(Printed1).value(), C.PrintedDigest);
+
+  ASTContext Ctx2;
+  Diagnostics Diags2;
+  auto P2 = parse(Printed1, Ctx2, Diags2);
+  ASSERT_TRUE(P2.has_value()) << Diags2.render();
+  EXPECT_EQ(Ctx2.numExprs(), C.AstNodes);
+  EXPECT_EQ(AstPrinter(Ctx2).print(*P2), Printed1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Generated, ParserGeneratedModules,
+    ::testing::Values(
+        GeneratedCase{ModuleCategory::Hard, 800, 12297, 168090,
+                      11510274332652916481ULL},
+        GeneratedCase{ModuleCategory::Recoverable, 1500, 11755, 136792,
+                      6635924368278412229ULL}),
+    [](const ::testing::TestParamInfo<GeneratedCase> &I) {
+      return moduleCategoryName(I.param.Cat) +
+             std::to_string(I.param.SizeHint);
+    });
 
 TEST(Parser, DeepExprNestingRejected) {
   ASTContext Ctx;

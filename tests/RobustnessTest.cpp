@@ -16,6 +16,7 @@
 #include "corpus/Experiment.h"
 #include "fuzz/FaultInjector.h"
 #include "fuzz/Fuzzer.h"
+#include "lang/Parser.h"
 #include "qual/LockAnalysis.h"
 
 #include <gtest/gtest.h>
@@ -163,6 +164,62 @@ TEST(SessionGovernance, ArenaByteCapAbortsWithMemoryKind) {
   EXPECT_FALSE(S.run(DemoSource));
   ASSERT_TRUE(S.failure().has_value());
   EXPECT_EQ(S.failure()->Kind, FailureKind::MemoryCap);
+}
+
+/// A call- and block-heavy program: every statement is a three-argument
+/// call and every fourth one a two-call block.
+std::string callHeavySource() {
+  std::string S = "fun f(a : int, b : int, c : int) : int { a }\n"
+                  "fun main() : int {\n";
+  for (int I = 0; I < 64; ++I)
+    S += I % 4 == 0 ? "  { f(1, 2, 3); f(4, 5, 6) };\n" : "  f(7, 8, 9);\n";
+  return S + "  0\n}\n";
+}
+
+TEST(SessionGovernance, ArenaByteCapCountsChildLists) {
+  const std::string Src = callHeavySource();
+  ASTContext Ctx;
+  Diagnostics Diags;
+  ASSERT_TRUE(parse(Src, Ctx, Diags).has_value()) << Diags.render();
+  size_t ListBytes = 0;
+  for (ExprId I = 0; I < Ctx.numExprs(); ++I) {
+    if (const auto *C = dyn_cast<CallExpr>(Ctx.expr(I)))
+      ListBytes += C->args().size_bytes();
+    if (const auto *B = dyn_cast<BlockExpr>(Ctx.expr(I)))
+      ListBytes += B->stmts().size_bytes();
+  }
+  // 80 calls x 3 arguments, 16 inner blocks x 2 statements, and the two
+  // function bodies (1 + 65 statements): 338 pointers.
+  EXPECT_EQ(ListBytes, 338 * sizeof(const Expr *));
+  // Nodes and types take 9,700 bytes; the lists bring the parse to
+  // 12,404, where the cap now bites.
+  const size_t Used = Ctx.memoryUsed();
+  EXPECT_EQ(Used, 9700u + ListBytes);
+  EXPECT_EQ(Used, 12404u);
+
+  // The parse fits a cap of exactly Used bytes and aborts one byte below.
+  auto ParsesUnder = [&](size_t Cap) {
+    ASTContext Capped;
+    Capped.setMemoryLimit(Cap);
+    Diagnostics D;
+    try {
+      return parse(Src, Capped, D).has_value();
+    } catch (const AnalysisAbort &A) {
+      EXPECT_EQ(A.kind(), FailureKind::MemoryCap);
+      return false;
+    }
+  };
+  EXPECT_TRUE(ParsesUnder(Used));
+  EXPECT_FALSE(ParsesUnder(Used - 1));
+
+  // Through a session the abort lands in the parse phase.
+  PipelineOptions Opts;
+  Opts.Limits.MaxMemoryBytes = Used - 1;
+  AnalysisSession S(Opts);
+  EXPECT_FALSE(S.run(Src));
+  ASSERT_TRUE(S.failure().has_value());
+  EXPECT_EQ(S.failure()->Kind, FailureKind::MemoryCap);
+  EXPECT_EQ(S.failure()->Phase, "parse");
 }
 
 TEST(SessionGovernance, ParseErrorsAreCategorized) {

@@ -8,6 +8,7 @@
 #include "support/Arena.h"
 #include "support/Budget.h"
 #include "support/Diagnostics.h"
+#include "support/FileIO.h"
 #include "support/Rng.h"
 #include "support/Socket.h"
 #include "support/SourceLoc.h"
@@ -19,8 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <fstream>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -538,4 +541,48 @@ TEST(Socket, ListenerAcceptsAndUnlinksOnClose) {
   L.close();
   EXPECT_NE(::access(Path.c_str(), F_OK), 0)
       << "socket file must be unlinked on close";
+}
+
+//===----------------------------------------------------------------------===//
+// readWholeFile
+//===----------------------------------------------------------------------===//
+
+TEST(ReadWholeFile, ReadsRegularFilesExactly) {
+  std::string Path = testing::TempDir() + "lna_read_whole.bin";
+  std::string Bytes("line one\n\0binary\r\n", 18);
+  Bytes += std::string(70000, 'x'); // several pages
+  std::ofstream(Path, std::ios::binary) << Bytes;
+  std::string Out = "stale";
+  EXPECT_EQ(readWholeFile(Path, Out), 0);
+  EXPECT_EQ(Out, Bytes);
+
+  std::ofstream(Path, std::ios::binary | std::ios::trunc).flush();
+  EXPECT_EQ(readWholeFile(Path, Out), 0);
+  EXPECT_TRUE(Out.empty());
+  ::unlink(Path.c_str());
+}
+
+TEST(ReadWholeFile, ReportsMissingFilesAndDirectories) {
+  std::string Out = "stale";
+  EXPECT_EQ(readWholeFile(testing::TempDir() + "lna_no_such_file", Out),
+            ENOENT);
+  EXPECT_TRUE(Out.empty());
+  Out = "stale";
+  EXPECT_EQ(readWholeFile(testing::TempDir(), Out), EISDIR);
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(ReadWholeFile, ReadsPipesThatReportNoLength) {
+  int Fds[2];
+  ASSERT_EQ(::pipe(Fds), 0);
+  std::string Bytes;
+  for (int I = 0; I < 2000; ++I)
+    Bytes += "chunk " + std::to_string(I) + "\n"; // past one 4 KB buffer
+  ASSERT_EQ(::write(Fds[1], Bytes.data(), Bytes.size()),
+            static_cast<ssize_t>(Bytes.size()));
+  ::close(Fds[1]);
+  std::string Out;
+  EXPECT_EQ(readWholeFile("/proc/self/fd/" + std::to_string(Fds[0]), Out), 0);
+  EXPECT_EQ(Out, Bytes);
+  ::close(Fds[0]);
 }

@@ -44,7 +44,8 @@
 //   1  usage/parse/type errors
 //   2  annotation violations
 //   3  lock-state type errors reported
-//   4  input file could not be opened (or --cache-dir unusable)
+//   4  input file could not be read (missing, unreadable, or a directory;
+//      or --cache-dir unusable)
 //   5  invalid or conflicting flag value (e.g. a non-numeric
 //      --inline-depth, or two --stats-json flags naming different files)
 //   6  a resource budget was exhausted (timeout / memory cap / step cap)
@@ -60,13 +61,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "serve/Invocation.h"
+#include "support/FileIO.h"
 #include "support/Subprocess.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace lna;
@@ -120,17 +119,15 @@ int main(int Argc, char **Argv) {
   }
   const InvocationOptions &Cli = Parser.Opts;
 
-  std::ifstream In(Parser.File);
-  if (!In) {
-    // A missing/unreadable input is an environment error, not a parse
-    // error: report it distinctly and use a dedicated exit status.
+  std::string Source;
+  if (int Err = readWholeFile(Parser.File, Source)) {
+    // A missing/unreadable input (or a directory) is an environment
+    // error, not a parse error: report it distinctly and use a dedicated
+    // exit status.
     std::fprintf(stderr, "lna-analyze: error: cannot open '%s': %s\n",
-                 Parser.File.c_str(), std::strerror(errno));
+                 Parser.File.c_str(), std::strerror(Err));
     return 4;
   }
-  std::stringstream Buf;
-  Buf << In.rdbuf();
-  std::string Source = Buf.str();
 
   if (Cli.CacheDir.empty())
     return deliver(runInvocation(Cli, Source, nullptr));

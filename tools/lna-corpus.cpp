@@ -106,6 +106,7 @@
 #include "obs/EventJournal.h"
 #include "obs/FlightRecorder.h"
 #include "obs/Progress.h"
+#include "support/FileIO.h"
 #include "support/ParseArg.h"
 #include "support/Subprocess.h"
 #include "support/Timer.h"
@@ -113,9 +114,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 
@@ -478,15 +479,12 @@ bool mergeShardFiles(const std::vector<std::string> &Files,
   std::vector<char> Seen(Corpus.size(), 0);
   const std::string WantDigest = experimentOptionsDigest(Opts);
   for (const std::string &Path : Files) {
-    std::ifstream In(Path, std::ios::binary);
-    std::ostringstream Raw;
-    Raw << In.rdbuf();
-    if (!In) {
-      std::fprintf(stderr, "error: cannot read shard file '%s'\n",
-                   Path.c_str());
+    std::string Bytes;
+    if (int Err = readWholeFile(Path, Bytes)) {
+      std::fprintf(stderr, "error: cannot read shard file '%s': %s\n",
+                   Path.c_str(), std::strerror(Err));
       return false;
     }
-    std::string Bytes = Raw.str();
     size_t NL = Bytes.find('\n');
     char Magic[16] = {0};
     unsigned long long Ver = 0, Total = 0;

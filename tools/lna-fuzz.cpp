@@ -41,12 +41,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
+#include "support/FileIO.h"
 #include "support/ParseArg.h"
 #include "support/Subprocess.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <string>
 
 using namespace lna;
@@ -143,15 +143,14 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
 }
 
 int replay(const std::string &File) {
-  std::ifstream In(File);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", File.c_str());
+  std::string Source;
+  if (int Err = readWholeFile(File, Source)) {
+    std::fprintf(stderr, "error: cannot open '%s': %s\n", File.c_str(),
+                 std::strerror(Err));
     return 4;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
   std::string Name;
-  OracleOutcome O = replayRegressionSource(Buf.str(), &Name);
+  OracleOutcome O = replayRegressionSource(Source, &Name);
   if (!O.Applicable && !O.Message.empty() && Name.empty()) {
     std::fprintf(stderr, "error: %s\n", O.Message.c_str());
     return 1;

@@ -9,6 +9,13 @@
 #     it: the differential oracles cross-check the analyses while the
 #     sanitizers watch the interpreter/solver memory behavior, plus the
 #     committed regression corpus replay (FuzzTest + cli_fuzz_smoke).
+#     The front-end suites (lexer, parser, printer, and the inliner and
+#     confine placement, which rebuild call/block child lists) run there
+#     too, with a 20-second round-trip fuzz smoke over large programs:
+#     the parser gathers child lists on a scratch vector that reallocates
+#     as it grows, so a list left pointing there instead of at its arena
+#     copy is a heap use-after-free that ASan reports, and UBSan watches
+#     the lexer's integer-literal arithmetic.
 #  3. Robustness stage: the `robustness`-labeled suite (budgets, typed
 #     aborts, fault injection, checkpoint resume) under asan-ubsan --
 #     exception-heavy unwind paths are where leaks hide -- plus a short
@@ -104,6 +111,14 @@ ctest --test-dir build-asan-ubsan --output-on-failure \
 
 echo "== asan-ubsan: 30-second differential fuzz smoke =="
 ./build-asan-ubsan/tools/lna-fuzz --seed=1 --runs=100000 --max-seconds=30
+
+echo "== asan-ubsan: front-end suites (lexer, parser, arena child lists) =="
+ctest --test-dir build-asan-ubsan --output-on-failure \
+  -R 'Lexer|Parser|Printer|Inliner|ConfinePlacement'
+
+echo "== asan-ubsan: 20-second round-trip fuzz smoke on large programs =="
+./build-asan-ubsan/tools/lna-fuzz --oracle=round-trip --max-size=400 \
+  --seed=1 --runs=100000 --max-seconds=20
 
 echo "== asan-ubsan: robustness suite (budgets, fault injection) =="
 ctest --test-dir build-asan-ubsan --output-on-failure -L robustness
