@@ -13,10 +13,10 @@
 //    modules but denser, measuring least-solution propagation and a
 //    CHECK-SAT query storm separately -- with the query answers and the
 //    full least solution asserted identical between the two solvers;
-//  * the full 589-module corpus, comparing the summed wall time of the
-//    solver-dominated phases (effect-constraints, check-sat, inference)
-//    and asserting the rendered corpus report is byte-identical modulo
-//    the wall-clock line.
+//  * the full 589-module corpus, comparing the median over interleaved
+//    passes of the summed wall time of the solver-dominated phases
+//    (effect-constraints, check-sat, inference) and asserting the
+//    rendered corpus report is byte-identical modulo the wall-clock line.
 //
 // The run fails (exit 1) if either solver disagrees with the other or
 // the combined solver speedup falls below the 2x floor the speed pass
@@ -30,6 +30,7 @@
 #include "effects/ConstraintSystem.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -56,6 +57,7 @@ constexpr uint32_t NumVars = 3000;
 constexpr uint32_t NumLocs = 600;
 constexpr uint32_t NumQueries = 30000;
 constexpr int Repetitions = 5;
+constexpr int CorpusRepetitions = 9;
 
 // A clustered graph with real cycles: vars are grouped into clusters of
 // ~12; each cluster gets a spanning cycle plus random chords, and
@@ -181,6 +183,7 @@ std::string stripWallClock(const std::string &Report) {
   return Out;
 }
 
+/// One serial pass over the corpus with the chosen solver.
 CorpusRun runCorpus(const std::vector<ModuleSpec> &Corpus, bool Baseline) {
   if (Baseline)
     setenv("LNA_SOLVER_BASELINE", "1", 1);
@@ -191,23 +194,24 @@ CorpusRun runCorpus(const std::vector<ModuleSpec> &Corpus, bool Baseline) {
   Opts.Jobs = 1; // serial, so phase seconds are comparable wall time
 
   CorpusRun R;
-  for (int Rep = 0; Rep < Repetitions; ++Rep) {
-    CorpusSummary S = runCorpusExperiment(Corpus, Opts);
-    double SolverPhaseSeconds = 0.0;
-    for (const auto &Phase : S.PhaseTimes) {
-      if (Phase.first != "effect-constraints" && Phase.first != "check-sat" &&
-          Phase.first != "inference")
-        continue;
-      for (double Sec : Phase.second)
-        SolverPhaseSeconds += Sec;
-    }
-    if (Rep == 0 || SolverPhaseSeconds < R.SolverPhaseSeconds)
-      R.SolverPhaseSeconds = SolverPhaseSeconds;
-    R.Report = stripWallClock(renderCorpusReport(S));
-    R.FailedModules = S.FailedModules;
-    R.TotalModules = S.TotalModules;
+  CorpusSummary S = runCorpusExperiment(Corpus, Opts);
+  for (const auto &Phase : S.PhaseTimes) {
+    if (Phase.first != "effect-constraints" && Phase.first != "check-sat" &&
+        Phase.first != "inference")
+      continue;
+    for (double Sec : Phase.second)
+      R.SolverPhaseSeconds += Sec;
   }
+  R.Report = stripWallClock(renderCorpusReport(S));
+  R.FailedModules = S.FailedModules;
+  R.TotalModules = S.TotalModules;
   return R;
+}
+
+double median(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  size_t N = Xs.size();
+  return N % 2 ? Xs[N / 2] : (Xs[N / 2 - 1] + Xs[N / 2]) / 2;
 }
 
 } // namespace
@@ -223,10 +227,22 @@ int main() {
     return 1;
   }
 
+  // The corpus passes take tens of milliseconds each, so machine noise
+  // is as large as the difference: interleave them, alternating which
+  // solver goes first, and compare medians.
   std::vector<ModuleSpec> Corpus = generateCorpus();
-  CorpusRun COpt = runCorpus(Corpus, false);
-  CorpusRun CBase = runCorpus(Corpus, true);
+  CorpusRun COpt, CBase;
+  std::vector<double> OptSeconds, BaseSeconds;
+  for (int Rep = 0; Rep < CorpusRepetitions; ++Rep)
+    for (int Leg = 0; Leg < 2; ++Leg) {
+      const bool Baseline = (Rep + Leg) % 2 == 1;
+      CorpusRun R = runCorpus(Corpus, Baseline);
+      (Baseline ? BaseSeconds : OptSeconds).push_back(R.SolverPhaseSeconds);
+      (Baseline ? CBase : COpt) = std::move(R);
+    }
   unsetenv("LNA_SOLVER_BASELINE");
+  COpt.SolverPhaseSeconds = median(OptSeconds);
+  CBase.SolverPhaseSeconds = median(BaseSeconds);
 
   if (COpt.FailedModules != 0 || CBase.FailedModules != 0) {
     std::fprintf(stderr, "bench_solver: module failures (%u optimized, "

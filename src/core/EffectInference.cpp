@@ -26,12 +26,13 @@ EffectInference::EffectInference(ASTContext &Ctx, const Program &P,
 
 EffVar EffectInference::typeEffVar(TypeId T) {
   TypeId Rep = Types.find(T);
-  auto It = TypeEffMemo.find(Rep);
-  if (It != TypeEffMemo.end())
-    return It->second;
+  if (Rep >= TypeEffMemo.size())
+    TypeEffMemo.resize(Types.size(), InvalidEffVar);
+  if (TypeEffMemo[Rep] != InvalidEffVar)
+    return TypeEffMemo[Rep];
   EffVar V = CS.makeVar();
   // Memoize before descending so recursive types terminate.
-  TypeEffMemo.emplace(Rep, V);
+  TypeEffMemo[Rep] = V;
   const TypeNode &N = Types.node(Rep);
   switch (N.Kind) {
   case TypeKind::Int:
@@ -322,8 +323,8 @@ EffVar EffectInference::walkBind(const BindExpr *E,
         C.P = CondConstraint::Premise::LocInVar;
         C.Rho = BI->RhoPrime;
         C.Var = BodyEff;
-        C.Actions.push_back(
-            {CondAction::Kind::AddElemReadWrite, BI->Rho, V});
+        C.Actions = CS.addActions(
+            {{CondAction::Kind::AddElemReadWrite, BI->Rho, V}});
         CS.setOrigin(E->loc(),
                      "restrict effect of used restrict binding (liberal)");
         CS.addConditional(std::move(C));
@@ -388,7 +389,8 @@ EffVar EffectInference::walkConfine(
       C.P = CondConstraint::Premise::LocInVar;
       C.Rho = CSI->RhoPrime;
       C.Var = BodyEff;
-      C.Actions.push_back({CondAction::Kind::AddElemReadWrite, CSI->Rho, V});
+      C.Actions = CS.addActions(
+          {{CondAction::Kind::AddElemReadWrite, CSI->Rho, V}});
       CS.setOrigin(E->loc(),
                    "restrict effect of used confine binding (liberal)");
       CS.addConditional(std::move(C));

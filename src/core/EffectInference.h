@@ -37,7 +37,6 @@
 #include "effects/ConstraintSystem.h"
 #include "effects/EffectTerm.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace lna {
@@ -135,7 +134,9 @@ private:
   EffectInferenceOptions Opts;
   TermPool Pool;
   EffectInfResult Result;
-  std::unordered_map<TypeId, EffVar> TypeEffMemo;
+  /// e_t of each representative type, by TypeId (InvalidEffVar until
+  /// made).
+  std::vector<EffVar> TypeEffMemo;
   /// p' variables of valid confines, indexed by confine index, so
   /// occurrence nodes can find them.
   std::vector<EffVar> ConfinePVar;

@@ -62,6 +62,17 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
     }
   }
 
+  // At most three conditionals, two pooled actions and one escape list
+  // per binding, and five conditionals and three actions per confine?.
+  size_t EscapeVars = 0;
+  for (const BindConstraintVars &BCV : Eff.Binds)
+    EscapeVars += BCV.EscapeVars.size();
+  for (const ConfineConstraintVars &CCV : Eff.Confines)
+    EscapeVars += CCV.EscapeVars.size();
+  CS.reserveConditionals(3 * Eff.Binds.size() + 5 * Eff.Confines.size(),
+                         2 * Eff.Binds.size() + 3 * Eff.Confines.size(),
+                         EscapeVars);
+
   // let-or-restrict (Section 5).
   for (const BindConstraintVars &BCV : Eff.Binds) {
     budgetStep();
@@ -83,13 +94,14 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
       continue; // already unified by the fixpoint pass above
 
     SourceLoc BindLoc = Ctx.expr(BI.Id)->loc();
+    const PoolRange Demote =
+        CS.addActions({{CondAction::Kind::UnifyLocs, BI.Rho, BI.RhoPrime}});
     // rho in L2 => rho = rho' (the construct must be a let).
     CondConstraint C1;
     C1.P = CondConstraint::Premise::LocInVar;
     C1.Rho = BI.Rho;
     C1.Var = BCV.BodyEff;
-    C1.Actions.push_back(
-        {CondAction::Kind::UnifyLocs, BI.Rho, BI.RhoPrime});
+    C1.Actions = Demote;
     C1.OriginLoc = BindLoc;
     C1.OriginNote = "let-or-restrict demoted to let (accessed in scope)";
     CS.addConditional(std::move(C1));
@@ -97,9 +109,8 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
     CondConstraint C2;
     C2.P = CondConstraint::Premise::LocInVar;
     C2.Rho = BI.RhoPrime;
-    C2.AnyOf = BCV.EscapeVars;
-    C2.Actions.push_back(
-        {CondAction::Kind::UnifyLocs, BI.Rho, BI.RhoPrime});
+    C2.AnyOf = CS.addVarList(BCV.EscapeVars);
+    C2.Actions = Demote;
     C2.OriginLoc = BindLoc;
     C2.OriginNote = "let-or-restrict demoted to let (binder escapes)";
     CS.addConditional(std::move(C2));
@@ -109,8 +120,8 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
     C3.P = CondConstraint::Premise::LocInVar;
     C3.Rho = BI.RhoPrime;
     C3.Var = BCV.BodyEff;
-    C3.Actions.push_back(
-        {CondAction::Kind::AddElemReadWrite, BI.Rho, BCV.ResultVar});
+    C3.Actions = CS.addActions(
+        {{CondAction::Kind::AddElemReadWrite, BI.Rho, BCV.ResultVar}});
     C3.OriginLoc = BindLoc;
     C3.OriginNote = "restrict effect of used let-or-restrict binding";
     CS.addConditional(std::move(C3));
@@ -134,12 +145,12 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
       continue; // already unified by the fixpoint pass above
 
     SourceLoc ConfLoc = Ctx.expr(CSI.Id)->loc();
-    std::vector<CondAction> Fail = {
+    const PoolRange Fail = CS.addActions({
         {CondAction::Kind::UnifyLocs, CSI.Rho, CSI.RhoPrime},
         // On failure the occurrences of e1 recover e1's type *and effect*:
         // L1 <= p'.
         {CondAction::Kind::AddEdge, CCV.SubjectEff, CCV.PVar},
-    };
+    });
     // rho in L2 => fail.
     CondConstraint C1;
     C1.P = CondConstraint::Premise::LocInVar;
@@ -153,7 +164,7 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
     CondConstraint C2;
     C2.P = CondConstraint::Premise::LocInVar;
     C2.Rho = CSI.RhoPrime;
-    C2.AnyOf = CCV.EscapeVars;
+    C2.AnyOf = CS.addVarList(CCV.EscapeVars);
     C2.Actions = Fail;
     C2.OriginLoc = ConfLoc;
     C2.OriginNote = "failed confine? candidate (subject escapes)";
@@ -183,8 +194,8 @@ InferenceResult lna::runInference(const ASTContext &Ctx,
     C5.P = CondConstraint::Premise::LocInVar;
     C5.Rho = CSI.RhoPrime;
     C5.Var = CCV.BodyEff;
-    C5.Actions.push_back(
-        {CondAction::Kind::AddElemReadWrite, CSI.Rho, CCV.ResultVar});
+    C5.Actions = CS.addActions(
+        {{CondAction::Kind::AddElemReadWrite, CSI.Rho, CCV.ResultVar}});
     C5.OriginLoc = ConfLoc;
     C5.OriginNote = "restrict effect of used confine? binding";
     CS.addConditional(std::move(C5));

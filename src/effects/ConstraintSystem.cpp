@@ -27,14 +27,13 @@ ConstraintSystem::ConstraintSystem(LocTable &Locs) : Locs(Locs) {
 }
 
 EffVar ConstraintSystem::makeVar() {
-  InScope.push_back(1);
-  Cond.Valid = false;
+  ClassesValid = false;
   return NumVars++;
 }
 
 void ConstraintSystem::addElement(EffectKind K, LocId Rho, EffVar V) {
   assert(V < NumVars && "unknown effect variable");
-  // A new seed invalidates the CHECK-SAT seed index, not the condensation.
+  // A new seed invalidates the CHECK-SAT seed index, not the classes.
   SeedLog.emplace_back(V, EffectElem(K, Rho).bits());
   if (TrackOrigins)
     SeedOrigins.push_back(CurOrigin);
@@ -48,7 +47,7 @@ void ConstraintSystem::addElementAllKinds(LocId Rho, EffVar V) {
 
 void ConstraintSystem::addEdge(EffVar From, EffVar To) {
   if (recordEdge(From, To))
-    Cond.Valid = false;
+    ClassesValid = false;
 }
 
 bool ConstraintSystem::recordEdge(EffVar From, EffVar To) {
@@ -74,7 +73,7 @@ void ConstraintSystem::addIntersection(InterOperand A, InterOperand B,
   };
   Register(Inters[Idx].A, 0);
   Register(Inters[Idx].B, 1);
-  Cond.Valid = false;
+  ClassesValid = false;
 }
 
 bool ConstraintSystem::operandContains(const InterOperand &Op,
@@ -83,10 +82,10 @@ bool ConstraintSystem::operandContains(const InterOperand &Op,
   case InterOperand::Kind::Elem:
     return canon(Op.Value) == CanonElem;
   case InterOperand::Kind::Var:
-    return Cond.Sol[Cond.Comp[Op.Value]].contains(CanonElem);
+    return Sol[find(Op.Value)].contains(CanonElem);
   case InterOperand::Kind::VarUnion:
     for (EffVar V : Op.Union)
-      if (Cond.Sol[Cond.Comp[V]].contains(CanonElem))
+      if (Sol[find(V)].contains(CanonElem))
         return true;
     return false;
   }
@@ -98,8 +97,29 @@ uint32_t ConstraintSystem::addConditional(CondConstraint C) {
     C.OriginLoc = CurOrigin.Loc;
     C.OriginNote = CurOrigin.Note;
   }
-  Conds.push_back(std::move(C));
+  Conds.push_back(C);
   return static_cast<uint32_t>(Conds.size() - 1);
+}
+
+PoolRange ConstraintSystem::addActions(std::span<const CondAction> Actions) {
+  PoolRange R{static_cast<uint32_t>(ActionPool.size()),
+              static_cast<uint32_t>(Actions.size())};
+  ActionPool.insert(ActionPool.end(), Actions.begin(), Actions.end());
+  return R;
+}
+
+PoolRange ConstraintSystem::addVarList(std::span<const EffVar> Vars) {
+  PoolRange R{static_cast<uint32_t>(AnyOfPool.size()),
+              static_cast<uint32_t>(Vars.size())};
+  AnyOfPool.insert(AnyOfPool.end(), Vars.begin(), Vars.end());
+  return R;
+}
+
+void ConstraintSystem::reserveConditionals(size_t NumConds, size_t NumActions,
+                                           size_t NumAnyOf) {
+  Conds.reserve(Conds.size() + NumConds);
+  ActionPool.reserve(ActionPool.size() + NumActions);
+  AnyOfPool.reserve(AnyOfPool.size() + NumAnyOf);
 }
 
 //===----------------------------------------------------------------------===//
@@ -135,21 +155,27 @@ static void countingSort(size_t N, uint32_t NumKeys, KeyFn Key, ValFn Val,
 }
 
 template <typename T>
-void ConstraintSystem::regroup(const std::vector<std::pair<EffVar, T>> &Log,
+bool ConstraintSystem::regroup(const std::vector<std::pair<EffVar, T>> &Log,
                                VarGroups<T> &G, bool KeepLogIdx) const {
-  if (G.Vars == NumVars && G.Logged == Log.size())
-    return;
+  if (G.Keys == NumVars && G.Logged == Log.size())
+    return false;
   countingSort(
       Log.size(), NumVars, [&](size_t I) { return Log[I].first; },
       [&](size_t I) { return Log[I].second; }, G.Start, G.Items,
       KeepLogIdx ? &G.LogIdx : nullptr);
-  G.Vars = NumVars;
+  G.Keys = NumVars;
   G.Logged = Log.size();
+  return true;
 }
 
 const ConstraintSystem::VarGroups<EffVar> &
 ConstraintSystem::outEdges() const {
-  regroup(EdgeLog, OutEdgeView, TrackOrigins);
+  if (regroup(EdgeLog, OutEdgeView, TrackOrigins)) {
+    // The fired edges are in the view now, after each source's earlier
+    // edges.
+    Fired.Last.clear();
+    Fired.Nodes.clear();
+  }
   return OutEdgeView;
 }
 
@@ -164,237 +190,197 @@ ConstraintSystem::outInters() const {
   return OutInterView;
 }
 
-//===----------------------------------------------------------------------===//
-// SCC condensation
-//===----------------------------------------------------------------------===//
-
-void ConstraintSystem::ensureCondensed() const {
-  if (!Cond.Valid)
-    rebuildCondensation();
+const ConstraintSystem::VarGroups<uint32_t> &
+ConstraintSystem::probeFeeds() const {
+  VarGroups<uint32_t> &G = ProbeView;
+  if (G.Keys == 3 * NumVars && G.Logged == FeedLog.size())
+    return G;
+  auto Slot = [&](size_t I) {
+    const auto &[V, F] = FeedLog[I];
+    const InterNode &N = Inters[F.first];
+    const InterOperand &Other = F.second == 0 ? N.B : N.A;
+    return 3 * V + (Other.K == InterOperand::Kind::Elem ? 2u : F.second);
+  };
+  countingSort(
+      FeedLog.size(), 3 * NumVars, Slot,
+      [&](size_t I) { return FeedLog[I].second.first; }, G.Start, G.Items,
+      nullptr);
+  G.Keys = 3 * NumVars;
+  G.Logged = FeedLog.size();
+  return G;
 }
 
-void ConstraintSystem::rebuildCondensation() const {
+//===----------------------------------------------------------------------===//
+// Classes: the union-find over variables
+//===----------------------------------------------------------------------===//
+
+template <typename FnT>
+void ConstraintSystem::forEachSuccessor(EffVar C, FnT &&Fn) const {
+  forEachMember(C, [&](EffVar M) {
+    for (EffVar W : OutEdgeView.of(M))
+      Fn(find(W));
+  });
+  Fired.forEach(C, [&](EffVar W) { Fn(find(W)); });
+}
+
+uint32_t ConstraintSystem::classFeeds(EffVar C, uint8_t Slot) const {
+  uint32_t Feeds = 0;
+  forEachMember(C, [&](EffVar M) {
+    Feeds += ProbeView.Start[3 * M + Slot + 1] - ProbeView.Start[3 * M + Slot];
+  });
+  return Feeds;
+}
+
+void ConstraintSystem::condense() const {
   Span Sp("solver-condense");
   const VarGroups<EffVar> &Out = outEdges();
-  const VarGroups<Feed> &Feeds = outInters();
+  const uint32_t OldVars = static_cast<uint32_t>(Sol.size());
+  const std::vector<EffVar> OldLeader = std::move(Leader);
 
-  // Map variables to components. Baseline mode keeps the identity
-  // mapping; otherwise Tarjan over the plain-edge graph (intersections
-  // are not collapsed: a cycle through an I node does not imply solution
-  // equality).
-  std::vector<uint32_t> NewComp;
-  uint32_t NumComps;
+  // Tarjan over the plain-edge graph, read in place (intersections are
+  // not collapsed: a cycle through an I node does not imply solution
+  // equality). Baseline mode keeps every variable its own class, ranked
+  // by index.
+  uint32_t NumClasses = NumVars;
   if (Baseline) {
-    NewComp.resize(NumVars);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      NewComp[V] = V;
-    NumComps = NumVars;
+    Rank.resize(NumVars);
+    for (EffVar V = 0; V < NumVars; ++V)
+      Rank[V] = V;
   } else {
-    // Tarjan reads the per-variable edge view in place.
     TarjanSCC SCC(Out, NumVars);
-    NewComp = std::move(SCC.Comp);
-    NumComps = SCC.NumComps;
+    Rank = std::move(SCC.Comp);
+    NumClasses = SCC.NumComps;
   }
-
-  // Component-level CSR adjacency: plain edges with intra-component
-  // edges dropped, and the (intersection, side) feed lists. CSR packing
-  // keeps each component's fanout contiguous for the propagation and
-  // DFS inner loops. Counting sort straight off the edge view (count,
-  // prefix, fill) -- no intermediate pair list.
-  Adjacency CAdj;
-  CAdj.Start.assign(NumComps + 1, 0);
-  for (uint32_t V = 0; V < NumVars; ++V)
-    for (EffVar W : Out.of(V))
-      if (NewComp[V] != NewComp[W])
-        ++CAdj.Start[NewComp[V] + 1];
-  for (uint32_t C = 0; C < NumComps; ++C)
-    CAdj.Start[C + 1] += CAdj.Start[C];
-  CAdj.Targets.resize(CAdj.Start[NumComps]);
-  {
-    std::vector<uint32_t> Fill(CAdj.Start.begin(), CAdj.Start.end() - 1);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      for (EffVar W : Out.of(V))
-        if (NewComp[V] != NewComp[W])
-          CAdj.Targets[Fill[NewComp[V]]++] = NewComp[W];
-  }
-
-  std::vector<uint32_t> InterStart(NumComps + 1, 0);
-  for (uint32_t V = 0; V < NumVars; ++V)
-    InterStart[NewComp[V] + 1] += static_cast<uint32_t>(Feeds.of(V).size());
-  for (uint32_t C = 0; C < NumComps; ++C)
-    InterStart[C + 1] += InterStart[C];
-  std::vector<Feed> InterFeeds(InterStart[NumComps]);
-  {
-    std::vector<uint32_t> Fill(InterStart.begin(), InterStart.end() - 1);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      for (Feed F : Feeds.of(V))
-        InterFeeds[Fill[NewComp[V]]++] = F;
-  }
-
-  // Propagation's feeds, grouped per component by side (see ProbeStart),
-  // and one representative variable per component for the holder index.
-  std::vector<uint32_t> ProbeStart, ProbeFeeds;
-  std::vector<EffVar> Rep;
-  if (!Baseline) {
-    auto Slot = [&](uint32_t V, Feed F) {
-      const InterNode &N = Inters[F.first];
-      const InterOperand &Other = F.second == 0 ? N.B : N.A;
-      return 3 * NewComp[V] +
-             (Other.K == InterOperand::Kind::Elem ? 2u : F.second);
-    };
-    ProbeStart.assign(3 * NumComps + 1, 0);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      for (Feed F : Feeds.of(V))
-        ++ProbeStart[Slot(V, F) + 1];
-    for (uint32_t S = 0; S < 3 * NumComps; ++S)
-      ProbeStart[S + 1] += ProbeStart[S];
-    ProbeFeeds.resize(ProbeStart.back());
-    std::vector<uint32_t> Fill(ProbeStart.begin(), ProbeStart.end() - 1);
-    for (uint32_t V = 0; V < NumVars; ++V)
-      for (Feed F : Feeds.of(V))
-        ProbeFeeds[Fill[Slot(V, F)]++] = F.first;
-    Rep.assign(NumComps, InvalidEffVar);
-    for (uint32_t V = NumVars; V-- > 0;)
-      Rep[NewComp[V]] = V;
-  }
-
-  // Carry solver state across the rebuild. Structure only grows, so all
-  // members of an old component land in one new component; a new
-  // component folding several old ones together re-queues its whole
-  // (unioned) set, since elements from one old component were never
-  // propagated along the other's out-edges.
-  std::vector<SmallElemSet> NewSol(NumComps);
-  std::vector<std::vector<uint32_t>> NewPending(NumComps);
-  std::vector<uint8_t> Folded(NumComps, 0);
-  std::vector<uint8_t> Merged(NumComps, 0);
-  if (!Cond.Comp.empty()) {
-    const uint32_t OldVars = static_cast<uint32_t>(Cond.Comp.size());
-    std::vector<uint8_t> Taken(Cond.NumComps, 0);
-    for (uint32_t V = 0; V < OldVars && V < NumVars; ++V) {
-      uint32_t OC = Cond.Comp[V];
-      if (Taken[OC])
-        continue;
-      Taken[OC] = 1;
-      uint32_t NC = NewComp[V];
-      if (!Folded[NC]) {
-        Folded[NC] = 1;
-        NewSol[NC] = std::move(Cond.Sol[OC]);
-      } else {
-        Merged[NC] = 1;
-        for (uint32_t E : Cond.Sol[OC])
-          NewSol[NC].insert(E);
+  Leader.clear();
+  NextMember.clear();
+  if (NumClasses != NumVars) {
+    // Leaders are lowest members; chain each class's members ascending.
+    std::vector<EffVar> LeaderOf(NumClasses);
+    for (EffVar V = NumVars; V-- > 0;)
+      LeaderOf[Rank[V]] = V;
+    Leader.resize(NumVars);
+    NextMember.assign(NumVars, InvalidEffVar);
+    for (EffVar V = NumVars; V-- > 0;) {
+      const EffVar L = LeaderOf[Rank[V]];
+      Leader[V] = L;
+      if (L != V) {
+        NextMember[V] = NextMember[L];
+        NextMember[L] = V;
       }
-      NewPending[NC].insert(NewPending[NC].end(), Cond.Pending[OC].begin(),
-                            Cond.Pending[OC].end());
     }
   }
-  for (uint32_t C = 0; C < NumComps; ++C)
-    if (Merged[C]) {
-      NewPending[C].clear();
-      for (uint32_t E : NewSol[C])
-        NewPending[C].push_back(E);
-    }
+  Stats.CollapsedVars = NumVars - NumClasses;
 
-  Cond.Comp = std::move(NewComp);
-  Cond.NumComps = NumComps;
-  Cond.EdgeStart = std::move(CAdj.Start);
-  Cond.EdgeTargets = std::move(CAdj.Targets);
-  Cond.InterStart = std::move(InterStart);
-  Cond.InterFeeds = std::move(InterFeeds);
-  Cond.ProbeStart = std::move(ProbeStart);
-  Cond.ProbeFeeds = std::move(ProbeFeeds);
-  Cond.Rep = std::move(Rep);
-  Cond.Overflow.clear();
-  Cond.TopoOrdered = true;
-  Cond.Sol = std::move(NewSol);
-  Cond.Pending = std::move(NewPending);
-  Cond.Dirty.assign(NumComps, 0);
-  Cond.InScope.assign(NumComps, 0);
-  for (uint32_t V = 0; V < NumVars; ++V)
-    if (InScope[V])
-      Cond.InScope[Cond.Comp[V]] = 1;
-  Cond.VisitEpoch.assign(NumComps, 0);
-  Cond.SideEpoch.assign(Inters.size(), 0);
-  Cond.SideMask.assign(Inters.size(), 0);
-  Cond.Epoch = 0;
-  Cond.IndexValid = false;
+  // Carry solver state. Structure only grows, so each old class lies in
+  // one new class, and the old class of the new leader keeps its set in
+  // place. A class that absorbed others re-queues its whole (unioned)
+  // set, since one old class's elements never flowed along another's
+  // edges.
+  Sol.resize(NumVars);
+  Pending.Last.resize(NumVars, RingLists::None);
+  std::vector<EffVar> Merged;
+  for (EffVar V = 0; V < OldVars; ++V) {
+    const EffVar NL = find(V);
+    if ((!OldLeader.empty() && OldLeader[V] != V) || NL == V)
+      continue;
+    for (uint32_t E : Sol[V])
+      Sol[NL].insert(E);
+    Sol[V] = SmallElemSet();
+    Pending.Last[V] = RingLists::None;
+    Merged.push_back(NL);
+  }
+  std::sort(Merged.begin(), Merged.end());
+  Merged.erase(std::unique(Merged.begin(), Merged.end()), Merged.end());
+  for (EffVar C : Merged)
+    refillPending(C);
   Worklist.clear();
-  for (uint32_t C = 0; C < NumComps; ++C)
-    if (!Cond.Pending[C].empty()) {
-      Cond.Dirty[C] = 1;
-      Worklist.push_back(C);
-    }
-  Cond.Valid = true;
+  std::vector<EffVar> Queued;
+  for (EffVar C = 0; C < NumVars; ++C)
+    if (!Pending.empty(C))
+      Queued.push_back(C);
+  queueByRank(Queued);
+
+  // Variables made since the last solve are in scope until one scopes
+  // them.
+  InScope.resize(NumVars, 1);
+  TopoOrdered = true;
+  IndexValid = false;
+  VisitEpoch.clear();
+  SideEpoch.clear();
+  ClassesValid = true;
 }
 
-bool ConstraintSystem::compEdgeExists(uint32_t From, uint32_t To) const {
-  const uint32_t *Begin = Cond.EdgeTargets.data() + Cond.EdgeStart[From];
-  const uint32_t *End = Cond.EdgeTargets.data() + Cond.EdgeStart[From + 1];
-  const std::vector<uint32_t> &Extra = overflowOf(From);
-  return std::find(Begin, End, To) != End ||
-         std::find(Extra.begin(), Extra.end(), To) != Extra.end();
+bool ConstraintSystem::classEdgeExists(EffVar From, EffVar To) const {
+  bool Found = false;
+  forEachSuccessor(From, [&](EffVar C) { Found = Found || C == To; });
+  return Found;
 }
 
-bool ConstraintSystem::compReaches(uint32_t From, uint32_t To) const {
-  // Tarjan numbers components so that every condensation edge runs from
-  // a higher index to a lower one. While no overflow edge has broken
-  // that order, a path only descends: nothing below To can reach it.
-  const bool Ordered = Cond.TopoOrdered;
-  if (Ordered && From < To)
+bool ConstraintSystem::classReaches(EffVar From, EffVar To) const {
+  // Tarjan ranks classes so that every edge between them runs from a
+  // higher rank to a lower one. While no fired edge has broken that
+  // order, a path only descends: nothing ranked below To can reach it.
+  const bool Ordered = TopoOrdered;
+  if (Ordered && Rank[From] < Rank[To])
     return false;
-  const uint32_t Epoch = nextEpoch();
-  std::vector<uint32_t> &Work = Cond.WorkScratch;
+  const uint32_t Ep = nextEpoch();
+  std::vector<uint32_t> &Work = WorkScratch;
   Work.clear();
-  auto Visit = [&](uint32_t C) {
-    if (Cond.VisitEpoch[C] == Epoch || (Ordered && C < To))
+  auto Visit = [&](EffVar C) {
+    if (VisitEpoch[C] == Ep || (Ordered && Rank[C] < Rank[To]))
       return;
-    Cond.VisitEpoch[C] = Epoch;
+    VisitEpoch[C] = Ep;
     Work.push_back(C);
   };
   Visit(From);
   while (!Work.empty()) {
-    uint32_t C = Work.back();
+    EffVar C = Work.back();
     Work.pop_back();
     if (C == To)
       return true;
-    for (uint32_t E = Cond.EdgeStart[C]; E < Cond.EdgeStart[C + 1]; ++E)
-      Visit(Cond.EdgeTargets[E]);
-    for (uint32_t T : overflowOf(C))
-      Visit(T);
+    forEachSuccessor(C, Visit);
   }
   return false;
 }
 
 uint32_t ConstraintSystem::nextEpoch() const {
-  if (++Cond.Epoch == 0) {
-    // Epoch wrap: invalidate all stamps once, then restart at 1.
-    std::fill(Cond.VisitEpoch.begin(), Cond.VisitEpoch.end(), 0);
-    std::fill(Cond.SideEpoch.begin(), Cond.SideEpoch.end(), 0);
-    Cond.Epoch = 1;
+  // Sized on first use after each Tarjan pass: --infer on a module whose
+  // conditionals fire no edges never touches it.
+  if (VisitEpoch.size() != NumVars || SideEpoch.size() != Inters.size()) {
+    VisitEpoch.assign(NumVars, 0);
+    SideEpoch.assign(Inters.size(), 0);
+    SideMask.assign(Inters.size(), 0);
+    Epoch = 0;
   }
-  return Cond.Epoch;
+  if (++Epoch == 0) {
+    // Epoch wrap: invalidate all stamps once, then restart at 1.
+    std::fill(VisitEpoch.begin(), VisitEpoch.end(), 0);
+    std::fill(SideEpoch.begin(), SideEpoch.end(), 0);
+    Epoch = 1;
+  }
+  return Epoch;
 }
 
 void ConstraintSystem::ensureCheckSatIndex() const {
-  if (Cond.IndexValid && Cond.IndexMergeStamp == Locs.numClassesMerged() &&
-      Cond.IndexSeedStamp == SeedLog.size())
+  if (IndexValid && IndexMergeStamp == Locs.numClassesMerged() &&
+      IndexSeedStamp == SeedLog.size())
     return;
-  Cond.SeedComps.clear();
-  Cond.ElemFeeds.clear();
+  SeedClasses.clear();
+  ElemFeeds.clear();
   const VarGroups<uint32_t> &Seeds = seeds();
-  for (uint32_t V = 0; V < NumVars; ++V)
+  for (EffVar V = 0; V < NumVars; ++V)
     for (uint32_t S : Seeds.of(V))
-      Cond.SeedComps[canon(S)].push_back(Cond.Comp[V]);
+      SeedClasses[canon(S)].push_back(find(V));
   for (uint32_t I = 0; I < Inters.size(); ++I) {
     const InterNode &N = Inters[I];
     if (N.A.K == InterOperand::Kind::Elem)
-      Cond.ElemFeeds[canon(N.A.Value)].push_back({I, 0});
+      ElemFeeds[canon(N.A.Value)].push_back({I, 0});
     if (N.B.K == InterOperand::Kind::Elem)
-      Cond.ElemFeeds[canon(N.B.Value)].push_back({I, 1});
+      ElemFeeds[canon(N.B.Value)].push_back({I, 1});
   }
-  Cond.IndexMergeStamp = Locs.numClassesMerged();
-  Cond.IndexSeedStamp = SeedLog.size();
-  Cond.IndexValid = true;
+  IndexMergeStamp = Locs.numClassesMerged();
+  IndexSeedStamp = SeedLog.size();
+  IndexValid = true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -411,7 +397,7 @@ bool ConstraintSystem::reaches(EffectKind K, LocId Rho, EffVar Target) const {
   if (Baseline) {
     Found = reachesBaseline(C, Target);
   } else {
-    ensureCondensed();
+    ensureClasses();
     ensureCheckSatIndex();
     Found = reachesCollapsed(C, Target);
   }
@@ -479,60 +465,57 @@ bool ConstraintSystem::reachesBaseline(uint32_t C, EffVar Target) const {
   return Found;
 }
 
-/// The optimized query: component-granularity DFS over the CSR
-/// condensation, sources pulled from the seed/element-operand indexes,
+/// The optimized query: class-granularity DFS over the per-variable
+/// views, sources pulled from the seed/element-operand indexes,
 /// epoch-stamped scratch instead of per-query allocation and clearing.
 bool ConstraintSystem::reachesCollapsed(uint32_t C, EffVar Target) const {
-  const uint32_t Epoch = nextEpoch();
-  const uint32_t TC = Target < NumVars ? Cond.Comp[Target] : ~0u;
-  std::vector<uint32_t> &Work = Cond.WorkScratch;
+  const VarGroups<Feed> &Feeds = outInters();
+  const uint32_t Ep = nextEpoch();
+  const EffVar TC = Target < NumVars ? find(Target) : InvalidEffVar;
+  std::vector<uint32_t> &Work = WorkScratch;
   Work.clear();
 
   bool Found = false;
-  auto Visit = [&](uint32_t Comp) {
-    if (Cond.VisitEpoch[Comp] == Epoch)
+  auto Visit = [&](EffVar Class) {
+    if (VisitEpoch[Class] == Ep)
       return;
-    Cond.VisitEpoch[Comp] = Epoch;
+    VisitEpoch[Class] = Ep;
     ++Stats.CheckSatVisited;
-    if (Comp == TC)
+    if (Class == TC)
       Found = true;
-    Work.push_back(Comp);
+    Work.push_back(Class);
   };
   auto OrMask = [&](uint32_t I, uint8_t Bit) -> uint8_t {
-    if (Cond.SideEpoch[I] != Epoch) {
-      Cond.SideEpoch[I] = Epoch;
-      Cond.SideMask[I] = 0;
+    if (SideEpoch[I] != Ep) {
+      SideEpoch[I] = Ep;
+      SideMask[I] = 0;
     }
-    return Cond.SideMask[I] |= Bit;
+    return SideMask[I] |= Bit;
   };
 
   // Constant (element) intersection operands, from the index.
-  if (auto It = Cond.ElemFeeds.find(C); It != Cond.ElemFeeds.end())
+  if (auto It = ElemFeeds.find(C); It != ElemFeeds.end())
     for (auto [I, Side] : It->second)
       if (OrMask(I, static_cast<uint8_t>(1u << Side)) == 3)
-        Visit(Cond.Comp[Inters[I].Out]);
+        Visit(find(Inters[I].Out));
   if (Found)
     return true;
 
   // Seed sources, from the index.
-  if (auto It = Cond.SeedComps.find(C); It != Cond.SeedComps.end())
-    for (uint32_t Comp : It->second)
-      Visit(Comp);
+  if (auto It = SeedClasses.find(C); It != SeedClasses.end())
+    for (EffVar Class : It->second)
+      Visit(Class);
 
   while (!Work.empty() && !Found) {
     budgetStep();
-    uint32_t Comp = Work.back();
+    EffVar Class = Work.back();
     Work.pop_back();
-    for (uint32_t E = Cond.EdgeStart[Comp]; E < Cond.EdgeStart[Comp + 1]; ++E)
-      Visit(Cond.EdgeTargets[E]);
-    for (uint32_t T : overflowOf(Comp))
-      Visit(T);
-    for (uint32_t F = Cond.InterStart[Comp]; F < Cond.InterStart[Comp + 1];
-         ++F) {
-      auto [I, Side] = Cond.InterFeeds[F];
-      if (OrMask(I, static_cast<uint8_t>(1u << Side)) == 3)
-        Visit(Cond.Comp[Inters[I].Out]);
-    }
+    forEachSuccessor(Class, Visit);
+    forEachMember(Class, [&](EffVar M) {
+      for (auto [I, Side] : Feeds.of(M))
+        if (OrMask(I, static_cast<uint8_t>(1u << Side)) == 3)
+          Visit(find(Inters[I].Out));
+    });
   }
   return Found;
 }
@@ -548,105 +531,116 @@ bool ConstraintSystem::reachesAnyKind(LocId Rho, EffVar Target) const {
 //===----------------------------------------------------------------------===//
 
 void ConstraintSystem::insertElem(EffVar V, uint32_t ElemBits) {
-  ensureCondensed();
-  insertElemComp(Cond.Comp[V], ElemBits);
+  ensureClasses();
+  insertElemClass(find(V), ElemBits);
 }
 
-void ConstraintSystem::insertElemComp(uint32_t C, uint32_t ElemBits) {
-  if (!Cond.InScope[C])
+void ConstraintSystem::insertElemClass(EffVar C, uint32_t ElemBits) {
+  if (!InScope[C])
     return;
-  if (!Cond.Sol[C].insert(ElemBits))
+  if (!Sol[C].insert(ElemBits))
     return;
   ++Stats.PropagatedElems;
-  Cond.Pending[C].push_back(ElemBits);
-  if (!Cond.Dirty[C]) {
-    Cond.Dirty[C] = 1;
+  if (Pending.empty(C))
     Worklist.push_back(C);
-  }
+  Pending.push(C, ElemBits);
+}
+
+void ConstraintSystem::refillPending(EffVar C) const {
+  Pending.Last[C] = RingLists::None;
+  for (uint32_t E : Sol[C])
+    Pending.push(C, E);
+}
+
+void ConstraintSystem::queueByRank(std::vector<EffVar> &Classes) const {
+  std::sort(Classes.begin(), Classes.end(),
+            [&](EffVar A, EffVar B) { return Rank[A] < Rank[B]; });
+  Worklist.insert(Worklist.end(), Classes.begin(), Classes.end());
 }
 
 void ConstraintSystem::propagate() {
   Span Sp("propagate");
-  ensureCondensed();
-  if (!Baseline)
+  ensureClasses();
+  if (Baseline) {
+    outInters();
+  } else {
+    probeFeeds();
     syncHolders();
-  std::vector<uint32_t> Batch;
+  }
   while (!Worklist.empty()) {
-    uint32_t C = Worklist.back();
+    const EffVar C = Worklist.back();
     Worklist.pop_back();
-    Cond.Dirty[C] = 0;
-    Batch.clear();
-    Batch.swap(Cond.Pending[C]);
+    const uint32_t Tail = Pending.Last[C];
+    Pending.Last[C] = RingLists::None;
+    uint64_t Flushed = 0;
+    RingLists::walk(Pending, Tail, [&](uint32_t E) {
+      ++Flushed;
+      forEachSuccessor(C, [&](EffVar T) {
+        if (T != C) // an edge inside a merged class
+          insertElemClass(T, E);
+      });
+      flushToIntersections(C, E);
+    });
     // Propagation is the solver's dominant cost; charge the budget per
     // pending element flushed, not per pop.
-    budgetStep(Batch.size() + 1);
-    const std::vector<uint32_t> &Extra = overflowOf(C);
-    for (uint32_t E : Batch) {
-      for (uint32_t T = Cond.EdgeStart[C]; T < Cond.EdgeStart[C + 1]; ++T)
-        insertElemComp(Cond.EdgeTargets[T], E);
-      for (uint32_t T : Extra)
-        insertElemComp(T, E);
-      flushToIntersections(C, E);
-    }
+    budgetStep(Flushed + 1);
   }
+  Pending.Nodes.clear();
 }
 
 void ConstraintSystem::probe(uint32_t Inter, const InterOperand &Other,
                              uint32_t Elem) {
   ++Stats.InterProbes;
   if (operandContains(Other, Elem))
-    insertElemComp(Cond.Comp[Inters[Inter].Out], Elem);
+    insertElemClass(find(Inters[Inter].Out), Elem);
 }
 
-void ConstraintSystem::flushToIntersections(uint32_t C, uint32_t E) {
+void ConstraintSystem::flushToIntersections(EffVar C, uint32_t E) {
   if (Baseline) {
     // Every feed probes its opposite operand.
-    for (uint32_t F = Cond.InterStart[C]; F < Cond.InterStart[C + 1]; ++F) {
-      auto [I, Side] = Cond.InterFeeds[F];
-      probe(I, Side == 0 ? Inters[I].B : Inters[I].A, E);
-    }
+    forEachMember(C, [&](EffVar M) {
+      for (auto [I, Side] : OutInterView.of(M))
+        probe(I, Side == 0 ? Inters[I].B : Inters[I].A, E);
+    });
     return;
   }
-  const uint32_t *Start = Cond.ProbeStart.data() + 3 * C;
   for (uint8_t S = 0; S < 2; ++S) {
-    const uint32_t Feeds = Start[S + 1] - Start[S];
+    const uint32_t Feeds = classFeeds(C, S);
     if (Feeds == 0)
       continue;
     const uint8_t O = 1 - S;
     if (Feeds <= Holders.FeedSum[O][E]) {
       // C's own side-S feeds are the cheaper side: probe their opposite
       // operands, as the baseline does.
-      for (uint32_t F = Start[S]; F < Start[S + 1]; ++F) {
-        const InterNode &N = Inters[Cond.ProbeFeeds[F]];
-        probe(Cond.ProbeFeeds[F], S == 0 ? N.B : N.A, E);
-      }
+      forEachMember(C, [&](EffVar M) {
+        for (uint32_t I : ProbeView.of(3 * M + S))
+          probe(I, S == 0 ? Inters[I].B : Inters[I].A, E);
+      });
     } else {
       // Only intersections whose other side has already flushed E can
       // newly gain it; the rest are found when that side flushes it.
       // Probe the side-S operand of each holder's side-O feeds.
       for (uint32_t Node = Holders.Head[O][E]; Node != HolderIndex::None;
-           Node = Holders.Nodes[Node].second) {
-        const uint32_t H = Cond.Comp[Holders.Nodes[Node].first];
-        const uint32_t *HStart = Cond.ProbeStart.data() + 3 * H;
-        for (uint32_t F = HStart[O]; F < HStart[O + 1]; ++F) {
-          const InterNode &N = Inters[Cond.ProbeFeeds[F]];
-          probe(Cond.ProbeFeeds[F], S == 0 ? N.A : N.B, E);
-        }
-      }
+           Node = Holders.Nodes[Node].second)
+        forEachMember(find(Holders.Nodes[Node].first), [&](EffVar M) {
+          for (uint32_t I : ProbeView.of(3 * M + O))
+            probe(I, S == 0 ? Inters[I].A : Inters[I].B, E);
+        });
     }
     recordHolder(C, S, E, Feeds);
   }
   // An element operand never flushes, so these feeds always probe it.
-  for (uint32_t F = Start[2]; F < Start[3]; ++F) {
-    const InterNode &N = Inters[Cond.ProbeFeeds[F]];
-    probe(Cond.ProbeFeeds[F],
-          N.A.K == InterOperand::Kind::Elem ? N.A : N.B, E);
-  }
+  forEachMember(C, [&](EffVar M) {
+    for (uint32_t I : ProbeView.of(3 * M + 2)) {
+      const InterNode &N = Inters[I];
+      probe(I, N.A.K == InterOperand::Kind::Elem ? N.A : N.B, E);
+    }
+  });
 }
 
-void ConstraintSystem::recordHolder(uint32_t C, uint8_t Side, uint32_t E,
+void ConstraintSystem::recordHolder(EffVar C, uint8_t Side, uint32_t E,
                                     uint32_t Feeds) {
-  Holders.Nodes.emplace_back(Cond.Rep[C], Holders.Head[Side][E]);
+  Holders.Nodes.emplace_back(C, Holders.Head[Side][E]);
   Holders.Head[Side][E] = static_cast<uint32_t>(Holders.Nodes.size() - 1);
   uint32_t &Sum = Holders.FeedSum[Side][E];
   Sum = Sum + Feeds < Sum ? ~0u : Sum + Feeds; // saturate
@@ -660,11 +654,11 @@ void ConstraintSystem::syncHolders() {
       Holders.Head[S].resize(Keys, HolderIndex::None);
       Holders.FeedSum[S].resize(Keys, 0);
     }
-  // A new intersection can give a component feeds for elements it
-  // flushed without any, which the index never recorded. Recording every
-  // element each feeding component now holds keeps the invariant (each
-  // flushed element recorded, each recorded one held); elements still
-  // pending are just recorded twice.
+  // A new intersection can give a class feeds for elements it flushed
+  // without any, which the index never recorded. Recording every element
+  // each feeding class now holds keeps the invariant (each flushed
+  // element recorded, each recorded one held); elements still pending
+  // are just recorded twice.
   const uint32_t NumInters = static_cast<uint32_t>(Inters.size());
   if (Holders.Propagated && Holders.NumInters != NumInters) {
     Holders.Nodes.clear();
@@ -673,12 +667,17 @@ void ConstraintSystem::syncHolders() {
                 HolderIndex::None);
       std::fill(Holders.FeedSum[S].begin(), Holders.FeedSum[S].end(), 0);
     }
-    for (uint32_t C = 0; C < Cond.NumComps; ++C)
+    std::vector<EffVar> Feeding;
+    for (EffVar C = 0; C < NumVars; ++C)
+      if (find(C) == C && (classFeeds(C, 0) != 0 || classFeeds(C, 1) != 0))
+        Feeding.push_back(C);
+    std::sort(Feeding.begin(), Feeding.end(),
+              [&](EffVar A, EffVar B) { return Rank[A] < Rank[B]; });
+    for (EffVar C : Feeding)
       for (uint8_t S = 0; S < 2; ++S) {
-        const uint32_t Feeds =
-            Cond.ProbeStart[3 * C + S + 1] - Cond.ProbeStart[3 * C + S];
+        const uint32_t Feeds = classFeeds(C, S);
         if (Feeds != 0)
-          for (uint32_t E : Cond.Sol[C])
+          for (uint32_t E : Sol[C])
             recordHolder(C, S, E, Feeds);
       }
   }
@@ -689,52 +688,54 @@ void ConstraintSystem::syncHolders() {
 void ConstraintSystem::recanonicalize() {
   Span Sp("recanonicalize");
   budgetStep(NumVars);
-  ensureCondensed();
-  // Rebuild solution sets with canonical elements. Only components whose
+  ensureClasses();
+  // Rebuild solution sets with canonical elements. Only classes whose
   // set actually changed (an element mentioned a just-unified location)
   // need re-pushing: intersections with unchanged inputs cannot produce
   // new outputs, and edges propagate set contents, which are unchanged.
-  Worklist.clear();
-  for (uint32_t C = 0; C < Cond.NumComps; ++C) {
-    if (!Cond.InScope[C])
-      continue;
-    bool Changed = false;
-    for (uint32_t E : Cond.Sol[C])
-      if (canon(E) != E) {
-        Changed = true;
-        break;
+  // Unchanged classes keep any elements queued by just-fired conditional
+  // actions; they are already canonical and still need to flow.
+  std::vector<EffVar> Queued;
+  if (Locs.numClassesMerged() == CanonMerges) {
+    // No location merged since every set was last canonical, so no set
+    // changes: the classes to queue are those already queued.
+    for (EffVar C : Worklist)
+      if (InScope[C])
+        Queued.push_back(C);
+  } else {
+    for (EffVar C = 0; C < NumVars; ++C) {
+      if (!InScope[C])
+        continue;
+      bool Changed = false;
+      for (uint32_t E : Sol[C])
+        if (canon(E) != E) {
+          Changed = true;
+          break;
+        }
+      if (Changed) {
+        SmallElemSet Fresh;
+        Fresh.reserve(Sol[C].size());
+        for (uint32_t E : Sol[C])
+          Fresh.insert(canon(E));
+        Sol[C] = std::move(Fresh);
+        refillPending(C);
       }
-    if (!Changed) {
-      // Keep any elements queued by just-fired conditional actions; they
-      // are already canonical and still need to flow.
-      if (!Cond.Pending[C].empty()) {
-        Cond.Dirty[C] = 1;
-        Worklist.push_back(C);
-      }
-      continue;
+      if (!Pending.empty(C))
+        Queued.push_back(C);
     }
-    SmallElemSet Fresh;
-    Fresh.reserve(Cond.Sol[C].size());
-    for (uint32_t E : Cond.Sol[C])
-      Fresh.insert(canon(E));
-    Cond.Sol[C] = std::move(Fresh);
-    Cond.Pending[C].clear();
-    for (uint32_t E : Cond.Sol[C])
-      Cond.Pending[C].push_back(E);
-    Cond.Dirty[C] = 1;
-    Worklist.push_back(C);
+    CanonMerges = Locs.numClassesMerged();
   }
+  Worklist.clear();
+  queueByRank(Queued);
 }
 
 void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
-  if (QueryVars.empty()) {
-    std::fill(InScope.begin(), InScope.end(), 1);
+  InScope.assign(NumVars, QueryVars.empty());
+  if (QueryVars.empty())
     return;
-  }
   // Backwards search (Section 6.2): only the part of the graph that can
   // flow into a query variable, a conditional's tested variable, or a
   // variable a conditional action writes needs least-solution computation.
-  std::fill(InScope.begin(), InScope.end(), 0);
   std::vector<EffVar> Work;
   auto Mark = [&](EffVar V) {
     if (V == InvalidEffVar || InScope[V])
@@ -747,9 +748,9 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
   for (const CondConstraint &C : Conds) {
     Mark(C.Var);
     Mark(C.VarA);
-    for (EffVar V : C.AnyOf)
+    for (EffVar V : anyOf(C))
       Mark(V);
-    for (const CondAction &A : C.Actions)
+    for (const CondAction &A : actions(C))
       if (A.K == CondAction::Kind::AddEdge ||
           A.K == CondAction::Kind::AddElemAllKinds ||
           A.K == CondAction::Kind::AddElemReadWrite)
@@ -788,19 +789,19 @@ void ConstraintSystem::computeScope(const std::vector<EffVar> &QueryVars) {
 bool ConstraintSystem::evalPremise(const CondConstraint &C) const {
   switch (C.P) {
   case CondConstraint::Premise::LocInVar:
-    if (!C.AnyOf.empty())
-      return memberAnyKindAnyOf(C.Rho, C.AnyOf);
+    if (C.AnyOf.Size != 0)
+      return memberAnyKindAnyOf(C.Rho, anyOf(C));
     return memberAnyKind(C.Rho, C.Var);
   case CondConstraint::Premise::SideEffectNonEmpty:
-    for (uint32_t E : Cond.Sol[Cond.Comp[C.Var]]) {
+    for (uint32_t E : Sol[find(C.Var)]) {
       EffectKind K = EffectElem(E).kind();
       if (K == EffectKind::Write || K == EffectKind::Alloc)
         return true;
     }
     return false;
   case CondConstraint::Premise::ReadWriteOverlap: {
-    const SmallElemSet &SideSol = Cond.Sol[Cond.Comp[C.Var]];
-    for (uint32_t E : Cond.Sol[Cond.Comp[C.VarA]]) {
+    const SmallElemSet &SideSol = Sol[find(C.Var)];
+    for (uint32_t E : Sol[find(C.VarA)]) {
       EffectElem Elem(E);
       if (Elem.kind() != EffectKind::Read)
         continue;
@@ -841,66 +842,55 @@ void ConstraintSystem::applyAction(const CondAction &A) {
 }
 
 void ConstraintSystem::addFiredEdge(EffVar From, EffVar To) {
-  ensureCondensed();
+  ensureClasses();
   if (!recordEdge(From, To))
     return;
-  uint32_t CA = Cond.Comp[From], CB = Cond.Comp[To];
-  if (Baseline) {
-    // Identity components: the baseline rebuilds after every edge.
-    rebuildCondensation();
-  } else if (CA == CB || compEdgeExists(CA, CB)) {
-    // One component, or an edge the condensation already has (a failed
-    // confine? fires one action list from up to four conditionals):
-    // the condensation is unchanged.
-  } else if (compReaches(CB, CA)) {
-    // The edge closes a cycle and folds components together; the
-    // rebuild carries and re-queues the merged solutions.
-    rebuildCondensation();
-    CA = Cond.Comp[From];
-    CB = Cond.Comp[To];
+  EffVar CA = find(From), CB = find(To);
+  if (!Baseline && (CA == CB || classEdgeExists(CA, CB))) {
+    // One class, or an edge the classes already have (a failed confine?
+    // fires one action list from up to four conditionals): nothing
+    // changes.
+  } else if (!Baseline && classReaches(CB, CA)) {
+    // The edge closes a cycle: a new Tarjan pass merges the classes on
+    // it, carrying and re-queueing their solutions.
+    condense();
+    CA = find(From);
+    CB = find(To);
   } else {
-    // No cycle: the partition is unchanged, so the edge goes on the
-    // source component's overflow list until the next rebuild.
-    if (Cond.Overflow.empty())
-      Cond.Overflow.resize(Cond.NumComps);
-    Cond.Overflow[CA].push_back(CB);
-    Cond.TopoOrdered = Cond.TopoOrdered && CB < CA;
+    // No cycle (or, in baseline mode, no collapse): the classes are
+    // unchanged, and the edge is walked from the source class's fired
+    // list until the edge view is next regrouped.
+    if (Fired.Last.empty())
+      Fired.Last.assign(NumVars, RingLists::None);
+    Fired.push(CA, To);
+    TopoOrdered = TopoOrdered && Rank[CB] < Rank[CA];
   }
   // If the endpoints stay separate, flow the already-computed solution
   // across the new edge explicitly (inserting into CB leaves Sol[CA]
   // untouched).
   if (CA != CB)
-    for (uint32_t E : Cond.Sol[CA])
-      insertElemComp(CB, E);
+    for (uint32_t E : Sol[CA])
+      insertElemClass(CB, E);
 }
 
 void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
   Span Sp("solve");
   computeScope(QueryVars);
-  ensureCondensed();
-  // Scope may differ between solve() calls; re-derive the component
-  // masks from the variable masks (uniform within a component: SCC
-  // members are mutually reachable, so the backwards closure marks all
-  // of them or none).
-  std::fill(Cond.InScope.begin(), Cond.InScope.end(), 0);
-  for (uint32_t V = 0; V < NumVars; ++V)
-    if (InScope[V])
-      Cond.InScope[Cond.Comp[V]] = 1;
+  ensureClasses();
   // Edges and feeds added since the last solve() must also carry what
   // their sources already hold: re-queue every solved set (all empty
   // before the first solve).
-  if (EdgeLog.size() + FeedLog.size() != SolvedLogs)
-    for (uint32_t C = 0; C < Cond.NumComps; ++C) {
-      if (!Cond.InScope[C] || Cond.Sol[C].empty())
+  if (EdgeLog.size() + FeedLog.size() != SolvedLogs) {
+    std::vector<EffVar> Queued;
+    for (EffVar C = 0; C < NumVars; ++C) {
+      if (!InScope[C] || Sol[C].empty())
         continue;
-      Cond.Pending[C].clear();
-      for (uint32_t E : Cond.Sol[C])
-        Cond.Pending[C].push_back(E);
-      if (!Cond.Dirty[C]) {
-        Cond.Dirty[C] = 1;
-        Worklist.push_back(C);
-      }
+      if (Pending.empty(C))
+        Queued.push_back(C);
+      refillPending(C);
     }
+    queueByRank(Queued);
+  }
 
   // Seed every variable's directly-included elements.
   const VarGroups<uint32_t> &Seeds = seeds();
@@ -934,7 +924,7 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
       // provenance, so explain paths can cross the firing.
       setOrigin(C.OriginLoc, C.OriginNote ? C.OriginNote
                                           : "fired conditional constraint");
-      for (const CondAction &A : C.Actions)
+      for (const CondAction &A : actions(C))
         applyAction(A);
     }
     if (!AnyFired)
@@ -948,27 +938,31 @@ void ConstraintSystem::solve(const std::vector<EffVar> &QueryVars) {
 
 const SmallElemSet &ConstraintSystem::solution(EffVar V) const {
   assert(V < NumVars && "unknown effect variable");
-  ensureCondensed();
-  return Cond.Sol[Cond.Comp[V]];
+  ensureClasses();
+  return Sol[find(V)];
 }
 
 bool ConstraintSystem::member(EffectKind K, LocId Rho, EffVar V) const {
-  ensureCondensed();
-  return Cond.Sol[Cond.Comp[V]].contains(
-      EffectElem(K, Locs.find(Rho)).bits());
+  ensureClasses();
+  return Sol[find(V)].contains(EffectElem(K, Locs.find(Rho)).bits());
 }
 
 bool ConstraintSystem::memberAnyKind(LocId Rho, EffVar V) const {
-  return member(EffectKind::Read, Rho, V) ||
-         member(EffectKind::Write, Rho, V) ||
-         member(EffectKind::Alloc, Rho, V);
+  const EffVar Vs[] = {V};
+  return memberAnyKindAnyOf(Rho, Vs);
 }
 
-bool ConstraintSystem::memberAnyKindAnyOf(
-    LocId Rho, const std::vector<EffVar> &Vs) const {
-  for (EffVar V : Vs)
-    if (memberAnyKind(Rho, V))
-      return true;
+bool ConstraintSystem::memberAnyKindAnyOf(LocId Rho,
+                                          std::span<const EffVar> Vs) const {
+  ensureClasses();
+  const LocId L = Locs.find(Rho);
+  for (EffVar V : Vs) {
+    const SmallElemSet &S = Sol[find(V)];
+    for (EffectKind K :
+         {EffectKind::Read, EffectKind::Write, EffectKind::Alloc})
+      if (S.contains(EffectElem(K, L).bits()))
+        return true;
+  }
   return false;
 }
 
@@ -1134,11 +1128,11 @@ void ConstraintSystem::recordGraphMetrics() const {
 void ConstraintSystem::recordSolutionMetrics() const {
   if (!currentMetrics())
     return;
-  ensureCondensed();
-  // Report per *variable*, not per component, so the effect-set-size
+  ensureClasses();
+  // Report per *variable*, not per class, so the effect-set-size
   // distribution is unchanged by the collapse.
   static const MetricId SetSize = metricId("effect-set-size");
-  for (uint32_t V = 0; V < NumVars; ++V)
+  for (EffVar V = 0; V < NumVars; ++V)
     if (InScope[V])
-      obsHistogram(SetSize, Cond.Sol[Cond.Comp[V]].size());
+      obsHistogram(SetSize, Sol[find(V)].size());
 }

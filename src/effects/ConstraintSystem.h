@@ -43,7 +43,7 @@
 /// (from, to), seeds (var, element) and intersection feeds (var,
 /// (intersection, side)) -- so creating a variable is a counter bump and
 /// adding a constraint is one append, in the linear-time graph build of
-/// Section 4. Readers that walk a variable's constraints (condensation,
+/// Section 4. Readers that walk a variable's constraints (the solvers,
 /// CHECK-SAT, the backwards scope, provenance replay) use a per-variable
 /// CSR view of each log, regrouped by a stable counting sort only when
 /// a reader needs it and the log has grown since; stability keeps every
@@ -51,42 +51,44 @@
 /// with them Tarjan numbering and every order-sensitive counter) are
 /// those of the insertion sequence.
 ///
-/// Both solvers run over an SCC *pre-collapse* of the plain-edge graph
-/// (the wave/deep-propagation move of inclusion-constraint solvers):
-/// every variable on a plain-edge cycle provably has the same least
-/// solution, so solution sets, the propagation worklist, and CHECK-SAT's
-/// DFS all operate at component granularity. The condensation is built
-/// lazily, with the adjacency packed into CSR arrays for locality. An
-/// edge added by a fired conditional keeps it valid unless the edge
-/// closes a cycle: Tarjan numbers components so every condensation edge
-/// descends, which answers some "does the target's component reach the
-/// source's?" checks in O(1) and prunes the others' DFS; an acyclic new edge
-/// goes on a per-component overflow list that propagation and CHECK-SAT
-/// walk beside the CSR, and only a cycle-closing edge forces a full
-/// rebuild (which folds the overflow edges back in).
+/// Both solvers run over *classes* of variables: every variable on a
+/// plain-edge cycle provably has the same least solution, so a
+/// union-find over variables (Leader) merges the members of each cycle
+/// and solution sets, the propagation worklist and CHECK-SAT's DFS work
+/// per class, keyed by the class's lowest variable. Nothing is copied
+/// into a component graph: a class walks its members' lists in the
+/// per-variable views in place. Tarjan runs once per solve (the first
+/// reader after the graph grew); its pop order is kept as each class's
+/// rank, so every edge between classes descends and some "does the
+/// target's class reach the source's?" checks answer in O(1). An edge
+/// added by a fired conditional goes on its source class's fired list,
+/// which propagation and CHECK-SAT walk after the members' edges; only
+/// an edge that closes a cycle re-runs Tarjan, which merges the classes
+/// on the new cycle. On an acyclic graph -- every module with (Down) on
+/// -- each class is one variable and the union-find is never allocated.
 ///
 /// Propagation's intersection feeds are output-sensitive. A hub such as
 /// the globals environment feeds one side of every function's (Down)
 /// intersection, so probing the opposite operand of each of its feeds for
 /// every element it flushes costs (elements x functions), nearly all
 /// misses. Instead a per-element, per-side *holder index* lists the
-/// components that have already flushed the element and feed that side,
-/// with their summed feed counts. A component flushing an element on
-/// side s either probes its own side-s feeds or walks the side-(1-s)
-/// holders' feeds, whichever is smaller, then joins the side-s holders.
-/// Each (intersection, element) pair is thus found at the later of its
-/// two sides' first flush, so the least solution is unchanged. Holders
-/// are recorded by a representative variable, so condensation rebuilds
-/// (which only grow components) never invalidate the index. Feeds whose
-/// opposite operand is a constant element keep direct probing: an
-/// element operand never flushes.
+/// classes that have already flushed the element and feed that side,
+/// with their summed feed counts. A class flushing an element on side s
+/// either probes its own side-s feeds or walks the side-(1-s) holders'
+/// feeds, whichever is smaller, then joins the side-s holders. Each
+/// (intersection, element) pair is thus found at the later of its two
+/// sides' first flush, so the least solution is unchanged. Holders are
+/// recorded by class leader; merges only grow classes, so a holder
+/// resolves through the union-find. Feeds whose opposite operand is a
+/// constant element keep direct probing: an element operand never
+/// flushes.
 ///
 /// Setting LNA_SOLVER_BASELINE=1 in the environment disables the
-/// collapse, the CHECK-SAT source indexes (identity components,
-/// per-query full scans) and the holder index (every feed probed) -- the
-/// pre-optimization algorithm, kept for byte-identity diffs and the
-/// bench_solver before/after comparison. It reads the same logs and
-/// per-variable views: there is one storage path.
+/// collapse (every class stays one variable), the CHECK-SAT source
+/// indexes (per-query full scans) and the holder index (every feed
+/// probed) -- the pre-optimization algorithm, kept for byte-identity
+/// diffs and the bench_solver before/after comparison. It reads the same
+/// logs and per-variable views: there is one storage path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +100,7 @@
 #include "obs/Provenance.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -169,6 +172,13 @@ struct CondAction {
   uint32_t B = 0;
 };
 
+/// A range of one of a ConstraintSystem's flat pools (conditional
+/// actions or AnyOf variables).
+struct PoolRange {
+  uint32_t Begin = 0;
+  uint32_t Size = 0;
+};
+
 /// A conditional constraint (Sections 5 and 6). When the premise becomes
 /// true in the current least solution, the actions fire (once).
 struct CondConstraint {
@@ -188,9 +198,11 @@ struct CondConstraint {
   EffVar Var = InvalidEffVar;
   /// For LocInVar: when nonempty, the premise tests membership in the
   /// *union* of these variables' solutions (shared environment/type sets,
-  /// never materialized).
-  std::vector<EffVar> AnyOf;
-  std::vector<CondAction> Actions;
+  /// never materialized). From ConstraintSystem::addVarList.
+  PoolRange AnyOf;
+  /// From ConstraintSystem::addActions; conditionals that fail the same
+  /// way (a confine? candidate's four) share one range.
+  PoolRange Actions;
   bool Fired = false;
   /// Provenance of the construct that generated this conditional
   /// (stamped by setOrigin when origin tracking is on); constraints the
@@ -206,9 +218,12 @@ struct SolverStats {
   uint64_t CondFirings = 0;
   uint64_t CheckSatQueries = 0;
   uint64_t CheckSatVisited = 0;
-  /// Intersection-operand membership tests made by propagation; not
-  /// reported, kept for the holder index's regression tests.
+  /// Not reported; kept for the solver's regression tests.
+  /// Intersection-operand membership tests made by propagation.
   uint64_t InterProbes = 0;
+  /// Variables in another variable's class after the last Tarjan pass:
+  /// zero on an acyclic graph.
+  uint64_t CollapsedVars = 0;
 };
 
 /// The normal-form effect constraint graph and its solvers.
@@ -233,6 +248,23 @@ public:
   void addIntersection(InterOperand A, InterOperand B, EffVar Out);
   /// Registers a conditional constraint; returns its index.
   uint32_t addConditional(CondConstraint C);
+  /// Copies actions or AnyOf variables into the flat pools that
+  /// conditionals refer to.
+  PoolRange addActions(std::span<const CondAction> Actions);
+  PoolRange addActions(std::initializer_list<CondAction> Actions) {
+    return addActions(std::span(Actions.begin(), Actions.size()));
+  }
+  PoolRange addVarList(std::span<const EffVar> Vars);
+  std::span<const CondAction> actions(const CondConstraint &C) const {
+    return {ActionPool.data() + C.Actions.Begin, C.Actions.Size};
+  }
+  std::span<const EffVar> anyOf(const CondConstraint &C) const {
+    return {AnyOfPool.data() + C.AnyOf.Begin, C.AnyOf.Size};
+  }
+  /// Reserves room for conditionals and their pooled actions and AnyOf
+  /// variables.
+  void reserveConditionals(size_t NumConds, size_t NumActions,
+                           size_t NumAnyOf);
 
   uint32_t numEdges() const { return static_cast<uint32_t>(EdgeLog.size()); }
   uint32_t numIntersections() const {
@@ -265,7 +297,7 @@ public:
 
   /// The least-solution element set of \p V (canonical elements). Only
   /// valid after solve(). Variables on a common plain-edge cycle share
-  /// one physical set.
+  /// one physical set, their class's.
   const SmallElemSet &solution(EffVar V) const;
 
   /// Membership queries against the computed solution. Canonicalize
@@ -273,7 +305,7 @@ public:
   bool member(EffectKind K, LocId Rho, EffVar V) const;
   bool memberAnyKind(LocId Rho, EffVar V) const;
   /// Membership in the union of several variables' solutions.
-  bool memberAnyKindAnyOf(LocId Rho, const std::vector<EffVar> &Vs) const;
+  bool memberAnyKindAnyOf(LocId Rho, std::span<const EffVar> Vs) const;
 
   const SolverStats &stats() const { return Stats; }
 
@@ -336,9 +368,9 @@ private:
     Origin Orig{};
   };
 
-  /// One constraint log grouped per variable (the per-variable view):
-  /// Items[Start[V]..Start[V + 1]) are V's entries in insertion order.
-  /// Vars and Logged record the variable count and log length it was
+  /// One constraint log grouped per key (the per-variable view):
+  /// Items[Start[K]..Start[K + 1]) are key K's entries in insertion
+  /// order. Keys and Logged record the key count and log length it was
   /// built from; regroup() rebuilds it when either has grown.
   template <typename T> struct VarGroups {
     std::vector<uint32_t> Start;
@@ -346,85 +378,71 @@ private:
     /// Log index of each item, for origin lookup; only kept for the
     /// edge and seed logs while origin tracking is on.
     std::vector<uint32_t> LogIdx;
-    uint32_t Vars = 0;
+    uint32_t Keys = 0;
     size_t Logged = 0;
 
-    std::span<const T> of(EffVar V) const {
-      return {Items.data() + Start[V], Items.data() + Start[V + 1]};
+    std::span<const T> of(uint32_t K) const {
+      return {Items.data() + Start[K], Items.data() + Start[K + 1]};
     }
     /// Tarjan's adjacency interface.
-    const T *begin(EffVar V) const { return Items.data() + Start[V]; }
-    const T *end(EffVar V) const { return Items.data() + Start[V + 1]; }
+    const T *begin(uint32_t K) const { return Items.data() + Start[K]; }
+    const T *end(uint32_t K) const { return Items.data() + Start[K + 1]; }
   };
   /// An intersection feed: (intersection index, side 0/1).
   using Feed = std::pair<uint32_t, uint8_t>;
 
-  /// The lazily built SCC condensation both solvers run on. Solution
-  /// sets live here, at component granularity; a rebuild (triggered by
-  /// new variables, edges, or intersections, or during solving by a
-  /// fired edge that closes a cycle) carries them over by unioning the
-  /// old components that fold into each new one.
-  struct Condensation {
-    bool Valid = false;
-    uint32_t NumComps = 0;
-    std::vector<uint32_t> Comp; ///< var -> component
-    /// CSR component adjacency over plain edges (intra-component edges
-    /// dropped) and component -> (intersection, side) feeds.
-    std::vector<uint32_t> EdgeStart, EdgeTargets;
-    std::vector<uint32_t> InterStart;
-    std::vector<std::pair<uint32_t, uint8_t>> InterFeeds;
-    /// Propagation's copy of the feeds (CHECK-SAT keeps InterFeeds'
-    /// order), as intersection indexes grouped per component C into
-    /// ProbeStart[3C] side-0 feeds, [3C + 1] side-1 feeds (both with a
-    /// variable opposite operand) and [3C + 2] feeds whose opposite
-    /// operand is an element, ending at ProbeStart[3C + 3]. Empty in
-    /// baseline mode.
-    std::vector<uint32_t> ProbeStart;
-    std::vector<uint32_t> ProbeFeeds;
-    /// A member variable of each component: the holder index's handle.
-    std::vector<EffVar> Rep;
-    /// Component edges added by fired conditionals since the last
-    /// rebuild, per source component; empty until the first one (the
-    /// CSR arrays are immutable between rebuilds; the next one re-reads
-    /// every edge from the edge log).
-    std::vector<std::vector<uint32_t>> Overflow;
-    /// True while every edge, CSR and overflow, runs from a higher
-    /// component index to a lower one (Tarjan's numbering).
-    bool TopoOrdered = true;
-    /// Solver state, per component.
-    std::vector<SmallElemSet> Sol;
-    std::vector<std::vector<uint32_t>> Pending;
-    std::vector<uint8_t> Dirty;
-    std::vector<uint8_t> InScope;
-    /// CHECK-SAT source indexes, keyed by canonical element bits;
-    /// invalidated when the location union-find merges classes or seeds
-    /// are added.
-    bool IndexValid = false;
-    uint32_t IndexMergeStamp = 0;
-    uint64_t IndexSeedStamp = 0;
-    std::unordered_map<uint32_t, std::vector<uint32_t>> SeedComps;
-    std::unordered_map<uint32_t, std::vector<std::pair<uint32_t, uint8_t>>>
-        ElemFeeds;
-    /// Epoch-stamped DFS scratch: no per-query allocation or clearing.
-    std::vector<uint32_t> VisitEpoch; ///< per component
-    std::vector<uint32_t> SideEpoch;  ///< per intersection
-    std::vector<uint8_t> SideMask;    ///< valid when SideEpoch == Epoch
-    std::vector<uint32_t> WorkScratch;
-    uint32_t Epoch = 0;
+  /// FIFO lists of uint32_t values, one per class, threaded through one
+  /// node pool: Last[C] is class C's newest node, whose Next closes the
+  /// ring back to its oldest, so a list costs one word per class.
+  struct RingLists {
+    static constexpr uint32_t None = ~0u;
+    std::vector<uint32_t> Last;
+    std::vector<std::pair<uint32_t, uint32_t>> Nodes; ///< (value, next)
+
+    bool empty(uint32_t C) const { return Last[C] == None; }
+    void push(uint32_t C, uint32_t Value) {
+      const uint32_t N = static_cast<uint32_t>(Nodes.size());
+      if (Last[C] == None) {
+        Nodes.emplace_back(Value, N);
+      } else {
+        Nodes.emplace_back(Value, Nodes[Last[C]].second);
+        Nodes[Last[C]].second = N;
+      }
+      Last[C] = N;
+    }
+    /// Calls \p Fn on each value of the ring ending at node \p Tail, in
+    /// insertion order. \p Fn may push to any list, even the walked
+    /// one once it has been detached (its Last reset).
+    template <typename FnT>
+    static void walk(const RingLists &L, uint32_t Tail, FnT &&Fn) {
+      if (Tail == None)
+        return;
+      for (uint32_t N = L.Nodes[Tail].second;;) {
+        const auto [Value, Next] = L.Nodes[N];
+        Fn(Value);
+        if (N == Tail)
+          return;
+        N = Next;
+      }
+    }
+    /// Calls \p Fn on each value of class \p C's list, which \p Fn must
+    /// not push to.
+    template <typename FnT> void forEach(uint32_t C, FnT &&Fn) const {
+      walk(*this, Last.empty() ? None : Last[C], Fn);
+    }
   };
 
   /// Propagation's intersection-feed index, keyed by canonical element
-  /// bits and side: the components (by representative variable, so the
-  /// index survives condensation rebuilds) that have flushed the element
-  /// and feed that side of some intersection, and their summed side feed
-  /// counts. Flat: one node array threaded into per-element lists. Keys of
-  /// merged-away locations go stale but are never queried again: the
-  /// components holding them re-flush under the new canonical key.
+  /// bits and side: the classes (by leader) that have flushed the
+  /// element and feed that side of some intersection, and their summed
+  /// side feed counts. Flat: one node array threaded into per-element
+  /// lists. Keys of merged-away locations go stale but are never queried
+  /// again: the classes holding them re-flush under the new canonical key.
   struct HolderIndex {
     static constexpr uint32_t None = ~0u;
     std::vector<uint32_t> Head[2];    ///< elem bits -> first node
     std::vector<uint32_t> FeedSum[2]; ///< elem bits -> summed feed counts
-    std::vector<std::pair<EffVar, uint32_t>> Nodes; ///< (rep, next node)
+    std::vector<std::pair<EffVar, uint32_t>> Nodes; ///< (leader, next node)
     /// Intersections when the index was last synced, and whether any
     /// propagation has run (see syncHolders).
     uint32_t NumInters = 0;
@@ -439,39 +457,71 @@ private:
   /// True if the operand's (union of) solution(s) contains \p CanonElem.
   bool operandContains(const InterOperand &Op, uint32_t CanonElem) const;
 
-  /// Brings \p G up to date with \p Log (see VarGroups).
+  /// Brings \p G up to date with \p Log (see VarGroups); true if it
+  /// was regrouped.
   template <typename T>
-  void regroup(const std::vector<std::pair<EffVar, T>> &Log,
+  bool regroup(const std::vector<std::pair<EffVar, T>> &Log,
                VarGroups<T> &G, bool KeepLogIdx) const;
-  /// The per-variable views of the three logs, regrouped if stale.
+  /// The per-variable views of the three logs, regrouped if stale. The
+  /// edge view absorbs the fired lists when it regroups.
   const VarGroups<EffVar> &outEdges() const;
   const VarGroups<uint32_t> &seeds() const;
   const VarGroups<Feed> &outInters() const;
+  /// Propagation's feeds, as intersection indexes keyed by 3V + slot:
+  /// variable V's side-0 feeds, side-1 feeds (both with a variable
+  /// opposite operand), then feeds whose opposite operand is an element.
+  const VarGroups<uint32_t> &probeFeeds() const;
 
-  void ensureCondensed() const;
-  void rebuildCondensation() const;
-  /// True if the condensation has the component edge From -> To.
-  bool compEdgeExists(uint32_t From, uint32_t To) const;
-  /// True if component \p To is reachable from \p From. Charges no
-  /// budget steps, like the rebuild it stands in for.
-  bool compReaches(uint32_t From, uint32_t To) const;
+  //===--- Classes ---------------------------------------------------===//
+
+  /// The class of \p V: its lowest member, the key of all class state.
+  EffVar find(EffVar V) const { return Leader.empty() ? V : Leader[V]; }
+  /// Calls \p Fn on each member of class \p C, ascending.
+  template <typename FnT> void forEachMember(EffVar C, FnT &&Fn) const {
+    if (NextMember.empty()) {
+      Fn(C);
+      return;
+    }
+    for (EffVar M = C; M != InvalidEffVar; M = NextMember[M])
+      Fn(M);
+  }
+  /// Calls \p Fn on the class of each plain-edge target of class \p C:
+  /// the members' edges, then the fired list.
+  template <typename FnT> void forEachSuccessor(EffVar C, FnT &&Fn) const;
+  /// Feeds of class \p C in probeFeeds() slot \p Slot.
+  uint32_t classFeeds(EffVar C, uint8_t Slot) const;
+
+  void ensureClasses() const {
+    if (!ClassesValid)
+      condense();
+  }
+  /// Runs Tarjan over the variable graph and merges the classes on each
+  /// cycle, carrying their solutions; sizes the per-variable state.
+  void condense() const;
+  /// True if class \p From has an edge to class \p To.
+  bool classEdgeExists(EffVar From, EffVar To) const;
+  /// True if class \p To is reachable from \p From. Charges no budget
+  /// steps, like the pass it stands in for.
+  bool classReaches(EffVar From, EffVar To) const;
   /// Starts a new epoch of the stamped DFS scratch.
   uint32_t nextEpoch() const;
-  /// Component \p C's overflow edges (none before the first one).
-  const std::vector<uint32_t> &overflowOf(uint32_t C) const {
-    static const std::vector<uint32_t> None;
-    return Cond.Overflow.empty() ? None : Cond.Overflow[C];
-  }
   void ensureCheckSatIndex() const;
   bool reachesBaseline(uint32_t CanonElem, EffVar Target) const;
   bool reachesCollapsed(uint32_t CanonElem, EffVar Target) const;
 
+  //===--- Propagation -----------------------------------------------===//
+
   void insertElem(EffVar V, uint32_t ElemBits);
-  void insertElemComp(uint32_t C, uint32_t ElemBits);
+  void insertElemClass(EffVar C, uint32_t ElemBits);
+  /// Replaces class \p C's pending list with its whole solution (the
+  /// caller queues the class).
+  void refillPending(EffVar C) const;
+  /// Appends \p Classes to the worklist in ascending rank.
+  void queueByRank(std::vector<EffVar> &Classes) const;
   void propagate();
-  /// Probes component \p C's intersection feeds for a just-flushed
-  /// \p Elem, through the holder index unless in baseline mode.
-  void flushToIntersections(uint32_t C, uint32_t Elem);
+  /// Probes class \p C's intersection feeds for a just-flushed \p Elem,
+  /// through the holder index unless in baseline mode.
+  void flushToIntersections(EffVar C, uint32_t Elem);
   /// Tests one intersection operand for \p Elem and, on a hit, puts
   /// \p Elem in the intersection's output.
   void probe(uint32_t Inter, const InterOperand &Other, uint32_t Elem);
@@ -479,37 +529,81 @@ private:
   /// were added since the last propagation, re-derives it from the
   /// current solutions.
   void syncHolders();
-  /// Adds component \p C, with \p Feeds feeds on side \p Side, to the
+  /// Adds class \p C, with \p Feeds feeds on side \p Side, to the
   /// side's holders of \p Elem.
-  void recordHolder(uint32_t C, uint8_t Side, uint32_t Elem, uint32_t Feeds);
+  void recordHolder(EffVar C, uint8_t Side, uint32_t Elem, uint32_t Feeds);
   void recanonicalize();
   bool evalPremise(const CondConstraint &C) const;
   void applyAction(const CondAction &A);
   /// Logs From <= To; false (and nothing logged) if From == To.
   bool recordEdge(EffVar From, EffVar To);
-  /// From <= To added by a fired conditional, keeping the condensation
-  /// valid unless the edge closes a cycle.
+  /// From <= To added by a fired conditional: onto the source class's
+  /// fired list, or, when it closes a cycle, through a new Tarjan pass.
   void addFiredEdge(EffVar From, EffVar To);
   void computeScope(const std::vector<EffVar> &QueryVars);
 
   LocTable &Locs;
-  /// The authoritative, uncollapsed graph: append-only logs, plus the
-  /// origins parallel to the edge and seed logs when TrackOrigins.
+  /// The authoritative graph: append-only logs, plus the origins
+  /// parallel to the edge and seed logs when TrackOrigins.
   uint32_t NumVars = 0;
   std::vector<std::pair<EffVar, EffVar>> EdgeLog;   ///< (from, to)
   std::vector<std::pair<EffVar, uint32_t>> SeedLog; ///< (var, elem bits)
   std::vector<std::pair<EffVar, Feed>> FeedLog;     ///< (var, feed)
   std::vector<Origin> EdgeOrigins, SeedOrigins;
-  /// Per variable: included in filtered propagation (computeScope).
-  std::vector<uint8_t> InScope;
   mutable VarGroups<EffVar> OutEdgeView;
   mutable VarGroups<uint32_t> SeedView;
   mutable VarGroups<Feed> OutInterView;
+  mutable VarGroups<uint32_t> ProbeView;
   std::vector<InterNode> Inters;
   std::vector<CondConstraint> Conds;
-  mutable std::vector<uint32_t> Worklist; ///< dirty components
+  std::vector<CondAction> ActionPool;
+  std::vector<EffVar> AnyOfPool;
+
+  /// Class state, indexed by variable and sized by condense(); only
+  /// leaders' entries are used. Mutable: CHECK-SAT, a const query,
+  /// builds the classes on first use.
+  mutable bool ClassesValid = false;
+  /// Leader and NextMember (the ascending member chain from a leader)
+  /// stay empty while every class is one variable.
+  mutable std::vector<EffVar> Leader, NextMember;
+  /// Tarjan rank of each variable's class: the order a pass over the
+  /// classes visits them in.
+  mutable std::vector<uint32_t> Rank;
+  /// True while every edge between classes, fired ones included, runs
+  /// from a higher rank to a lower one.
+  mutable bool TopoOrdered = true;
+  mutable std::vector<SmallElemSet> Sol;
+  /// Elements still to flush, per class; the pool resets whenever
+  /// propagation drains. A class is on the Worklist iff its list is
+  /// nonempty.
+  mutable RingLists Pending;
+  mutable std::vector<EffVar> Worklist;
+  /// The location union-find's merge count when recanonicalize() last
+  /// made every set canonical.
+  uint32_t CanonMerges = ~0u;
+  /// Fired edges (target variables) per source class since the edge
+  /// view was last regrouped; Last stays empty until the first one.
+  mutable RingLists Fired;
+  /// Per variable: in the backwards scope (computeScope). A class is in
+  /// scope iff its leader is: Tarjan's classes are mutually reachable,
+  /// so the backwards closure marks all members or none.
+  mutable std::vector<uint8_t> InScope;
+  /// CHECK-SAT source indexes, keyed by canonical element bits;
+  /// invalidated when the location union-find merges classes or seeds
+  /// are added.
+  mutable bool IndexValid = false;
+  mutable uint32_t IndexMergeStamp = 0;
+  mutable uint64_t IndexSeedStamp = 0;
+  mutable std::unordered_map<uint32_t, std::vector<EffVar>> SeedClasses;
+  mutable std::unordered_map<uint32_t, std::vector<Feed>> ElemFeeds;
+  /// Epoch-stamped DFS scratch: no per-query allocation or clearing.
+  mutable std::vector<uint32_t> VisitEpoch; ///< per class
+  mutable std::vector<uint32_t> SideEpoch;  ///< per intersection
+  mutable std::vector<uint8_t> SideMask;    ///< valid when SideEpoch == Epoch
+  mutable std::vector<uint32_t> WorkScratch;
+  mutable uint32_t Epoch = 0;
+
   mutable SolverStats Stats;
-  mutable Condensation Cond;
   HolderIndex Holders;
   /// The edge plus feed log length when solve() last returned.
   size_t SolvedLogs = 0;

@@ -39,13 +39,12 @@ public:
   static constexpr uint32_t InlineCap = 4;
 
   SmallElemSet() = default;
-  ~SmallElemSet() { delete[] Slots; }
+  ~SmallElemSet() { release(); }
 
   SmallElemSet(const SmallElemSet &O) { copyFrom(O); }
   SmallElemSet &operator=(const SmallElemSet &O) {
     if (this != &O) {
-      delete[] Slots;
-      Slots = nullptr;
+      release();
       copyFrom(O);
     }
     return *this;
@@ -53,7 +52,7 @@ public:
   SmallElemSet(SmallElemSet &&O) noexcept { moveFrom(O); }
   SmallElemSet &operator=(SmallElemSet &&O) noexcept {
     if (this != &O) {
-      delete[] Slots;
+      release();
       moveFrom(O);
     }
     return *this;
@@ -97,9 +96,7 @@ public:
   }
 
   void clear() {
-    delete[] Slots;
-    Slots = nullptr;
-    Cap = 0;
+    release();
     Count = 0;
   }
 
@@ -168,6 +165,13 @@ public:
   }
 
 private:
+  /// Frees the heap table, if any, leaving the set inline.
+  void release() {
+    if (Cap != 0)
+      delete[] Slots;
+    Cap = 0;
+  }
+
   uint32_t slotOf(uint32_t E) const {
     // Multiplicative (Fibonacci) hashing; Cap is a power of two.
     return (E * 2654435761u) >> HashShift & (Cap - 1);
@@ -224,21 +228,23 @@ private:
   void moveFrom(SmallElemSet &O) {
     Count = O.Count;
     Cap = O.Cap;
-    Slots = O.Slots;
-    if (O.Cap == 0)
-      std::memcpy(Small, O.Small, sizeof(Small));
-    O.Slots = nullptr;
+    std::memcpy(Small, O.Small, sizeof(Small)); // the table pointer, if any
     O.Cap = 0;
     O.Count = 0;
   }
 
   static constexpr uint32_t HashShift = 16;
 
-  uint32_t Small[InlineCap] = {};
+  /// Inline elements while Cap is 0, else the heap table: a solver keeps
+  /// one set per effect variable, so the set is 24 bytes, not 32.
+  union {
+    uint32_t Small[InlineCap] = {};
+    uint32_t *Slots;
+  };
   uint32_t Count = 0;
   uint32_t Cap = 0; ///< heap table capacity (power of two); 0 = inline
-  uint32_t *Slots = nullptr;
 };
+static_assert(sizeof(SmallElemSet) == 24, "one set per effect variable");
 
 } // namespace lna
 

@@ -438,15 +438,16 @@ private:
         return false;
       }
       int64_t V = 0;
+      bool Overflow = false;
       switch (B->op()) {
       case BinOpExpr::Op::Add:
-        V = L.I + R.I;
+        Overflow = __builtin_add_overflow(L.I, R.I, &V);
         break;
       case BinOpExpr::Op::Sub:
-        V = L.I - R.I;
+        Overflow = __builtin_sub_overflow(L.I, R.I, &V);
         break;
       case BinOpExpr::Op::Mul:
-        V = L.I * R.I;
+        Overflow = __builtin_mul_overflow(L.I, R.I, &V);
         break;
       case BinOpExpr::Op::Eq:
         V = L.I == R.I;
@@ -460,6 +461,10 @@ private:
       case BinOpExpr::Op::Gt:
         V = L.I > R.I;
         break;
+      }
+      if (Overflow) {
+        fail(RunStatus::Stuck, "integer overflow");
+        return false;
       }
       Out = RtValue::fromInt(V);
       return true;

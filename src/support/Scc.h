@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Graph condensation machinery shared by the Andersen alias backend and
-/// the effect constraint solver: a compact CSR adjacency built by counting
-/// sort, and an iterative Tarjan strongly-connected-components pass over
-/// it. Both solvers collapse cycles before propagating -- every member of
-/// a plain-edge cycle provably has the same solution, so propagating at
-/// component granularity does strictly less work for the same answer.
+/// Graph condensation machinery: a compact CSR adjacency built by
+/// counting sort (the Andersen alias backend's), and an iterative Tarjan
+/// strongly-connected-components pass, which the Andersen backend and
+/// the effect constraint solver share. Both solvers collapse cycles --
+/// every member of a plain-edge cycle provably has the same solution, so
+/// propagating once per component does strictly less work for the same
+/// answer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,16 +67,16 @@ struct Adjacency {
 template <typename Graph> struct TarjanSCC {
   const Graph &Adj;
   uint32_t NumNodes;
+  /// A visited node is on the Tarjan stack until its component is
+  /// assigned, so Comp doubles as the on-stack mark.
   std::vector<uint32_t> Comp, Index, Low;
-  std::vector<uint8_t> OnStack; ///< bytes, not vector<bool> bits: this is
-                                ///< read on every edge of the DFS
   std::vector<uint32_t> Stack;
   uint32_t NextIndex = 0, NumComps = 0;
   static constexpr uint32_t Unvisited = ~0u;
 
   TarjanSCC(const Graph &Adj, uint32_t NumNodes)
       : Adj(Adj), NumNodes(NumNodes), Comp(NumNodes, Unvisited),
-        Index(NumNodes, Unvisited), Low(NumNodes, 0), OnStack(NumNodes, false) {
+        Index(NumNodes, Unvisited), Low(NumNodes, 0) {
     for (uint32_t N = 0; N < NumNodes; ++N)
       if (Index[N] == Unvisited)
         run(N);
@@ -96,7 +97,6 @@ template <typename Graph> struct TarjanSCC {
     Frames.push_back({Root, Adj.begin(Root)});
     Index[Root] = Low[Root] = NextIndex++;
     Stack.push_back(Root);
-    OnStack[Root] = true;
     while (!Frames.empty()) {
       Frame &F = Frames.back();
       if (F.Next != Adj.end(F.Node)) {
@@ -104,9 +104,8 @@ template <typename Graph> struct TarjanSCC {
         if (Index[To] == Unvisited) {
           Index[To] = Low[To] = NextIndex++;
           Stack.push_back(To);
-          OnStack[To] = true;
           Frames.push_back({To, Adj.begin(To)});
-        } else if (OnStack[To]) {
+        } else if (Comp[To] == Unvisited) {
           Low[F.Node] = std::min(Low[F.Node], Index[To]);
         }
         continue;
@@ -121,7 +120,6 @@ template <typename Graph> struct TarjanSCC {
         do {
           Member = Stack.back();
           Stack.pop_back();
-          OnStack[Member] = false;
           Comp[Member] = C;
         } while (Member != N);
       }

@@ -132,7 +132,7 @@ TEST_F(EffectsFixture, UnificationMakesIntersectionFire) {
   C.P = CondConstraint::Premise::LocInVar;
   C.Rho = T;
   C.Var = Trigger;
-  C.Actions.push_back({CondAction::Kind::UnifyLocs, X, Y});
+  C.Actions = CS.addActions({{CondAction::Kind::UnifyLocs, X, Y}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(Locs.sameClass(X, Y));
@@ -243,7 +243,7 @@ TEST_F(EffectsFixture, ConditionalFiresWhenPremiseHolds) {
   C.P = CondConstraint::Premise::LocInVar;
   C.Rho = A;
   C.Var = V;
-  C.Actions.push_back({CondAction::Kind::AddElemAllKinds, B, Out});
+  C.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, B, Out}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(CS.memberAnyKind(B, Out));
@@ -256,7 +256,7 @@ TEST_F(EffectsFixture, ConditionalDoesNotFireOtherwise) {
   C.P = CondConstraint::Premise::LocInVar;
   C.Rho = A;
   C.Var = V;
-  C.Actions.push_back({CondAction::Kind::AddElemAllKinds, B, Out});
+  C.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, B, Out}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(CS.solution(Out).empty());
@@ -272,13 +272,13 @@ TEST_F(EffectsFixture, ConditionalChainsFireTransitively) {
   C1.P = CondConstraint::Premise::LocInVar;
   C1.Rho = A;
   C1.Var = V1;
-  C1.Actions.push_back({CondAction::Kind::AddElemAllKinds, B, V2});
+  C1.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, B, V2}});
   CS.addConditional(std::move(C1));
   CondConstraint C2;
   C2.P = CondConstraint::Premise::LocInVar;
   C2.Rho = B;
   C2.Var = V2;
-  C2.Actions.push_back({CondAction::Kind::AddElemReadWrite, Z, Out});
+  C2.Actions = CS.addActions({{CondAction::Kind::AddElemReadWrite, Z, Out}});
   CS.addConditional(std::move(C2));
   CS.solve();
   EXPECT_TRUE(CS.member(EffectKind::Read, Z, Out));
@@ -294,7 +294,7 @@ TEST_F(EffectsFixture, SideEffectPremiseIgnoresReads) {
   CondConstraint C;
   C.P = CondConstraint::Premise::SideEffectNonEmpty;
   C.Var = V;
-  C.Actions.push_back({CondAction::Kind::AddElemAllKinds, B, Out});
+  C.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, B, Out}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(CS.solution(Out).empty());
@@ -310,7 +310,7 @@ TEST_F(EffectsFixture, SideEffectPremiseFiresOnWriteOrAlloc) {
     CondConstraint C;
     C.P = CondConstraint::Premise::SideEffectNonEmpty;
     C.Var = V;
-    C.Actions.push_back({CondAction::Kind::AddElemAllKinds, B, Out});
+    C.Actions = CS2.addActions({{CondAction::Kind::AddElemAllKinds, B, Out}});
     CS2.addConditional(std::move(C));
     CS2.solve();
     EXPECT_TRUE(CS2.memberAnyKind(B, Out));
@@ -326,7 +326,7 @@ TEST_F(EffectsFixture, ReadWriteOverlapPremise) {
   C.P = CondConstraint::Premise::ReadWriteOverlap;
   C.VarA = Reads;
   C.Var = Writes;
-  C.Actions.push_back({CondAction::Kind::AddElemAllKinds, Z, Out});
+  C.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, Z, Out}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(CS.solution(Out).empty());
@@ -346,13 +346,13 @@ TEST_F(EffectsFixture, ReadWriteOverlapFiresAfterUnification) {
   C1.P = CondConstraint::Premise::LocInVar;
   C1.Rho = T;
   C1.Var = Trig;
-  C1.Actions.push_back({CondAction::Kind::UnifyLocs, A, B});
+  C1.Actions = CS.addActions({{CondAction::Kind::UnifyLocs, A, B}});
   CS.addConditional(std::move(C1));
   CondConstraint C2;
   C2.P = CondConstraint::Premise::ReadWriteOverlap;
   C2.VarA = Reads;
   C2.Var = Writes;
-  C2.Actions.push_back({CondAction::Kind::AddElemAllKinds, Z, Out});
+  C2.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, Z, Out}});
   CS.addConditional(std::move(C2));
   CS.solve();
   EXPECT_TRUE(CS.memberAnyKind(Z, Out));
@@ -367,7 +367,7 @@ TEST_F(EffectsFixture, AddEdgeActionFlowsExistingSolution) {
   C.P = CondConstraint::Premise::LocInVar;
   C.Rho = T;
   C.Var = Trig;
-  C.Actions.push_back({CondAction::Kind::AddEdge, Src, Dst});
+  C.Actions = CS.addActions({{CondAction::Kind::AddEdge, Src, Dst}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(CS.member(EffectKind::Alloc, A, Dst));
@@ -566,9 +566,9 @@ TEST_F(EffectsFixture, SolutionsRecanonicalizeAfterConditionalUnify) {
   C.P = CondConstraint::Premise::LocInVar;
   C.Rho = A;
   C.Var = V;
-  C.Actions.push_back(
-      {CondAction::Kind::UnifyLocs, static_cast<uint32_t>(A),
-       static_cast<uint32_t>(B)});
+  C.Actions = CS.addActions(
+      {{CondAction::Kind::UnifyLocs, static_cast<uint32_t>(A),
+        static_cast<uint32_t>(B)}});
   CS.addConditional(std::move(C));
   CS.solve();
   EXPECT_TRUE(Locs.sameClass(A, B));
@@ -578,7 +578,8 @@ TEST_F(EffectsFixture, SolutionsRecanonicalizeAfterConditionalUnify) {
   EXPECT_TRUE(CS.member(EffectKind::Read, A, V));
   EXPECT_TRUE(CS.member(EffectKind::Read, B, V));
   EXPECT_TRUE(CS.member(EffectKind::Write, B, W));
-  EXPECT_TRUE(CS.memberAnyKindAnyOf(B, {V}));
+  const EffVar AnyOf[] = {V};
+  EXPECT_TRUE(CS.memberAnyKindAnyOf(B, AnyOf));
 }
 
 TEST_F(EffectsFixture, ChainedConditionalUnifiesRecanonicalize) {
@@ -594,17 +595,17 @@ TEST_F(EffectsFixture, ChainedConditionalUnifiesRecanonicalize) {
   C1.P = CondConstraint::Premise::LocInVar;
   C1.Rho = A;
   C1.Var = V;
-  C1.Actions.push_back(
-      {CondAction::Kind::UnifyLocs, static_cast<uint32_t>(A),
-       static_cast<uint32_t>(B)});
+  C1.Actions = CS.addActions(
+      {{CondAction::Kind::UnifyLocs, static_cast<uint32_t>(A),
+        static_cast<uint32_t>(B)}});
   CS.addConditional(std::move(C1));
   CondConstraint C2;
   C2.P = CondConstraint::Premise::LocInVar;
   C2.Rho = B;
   C2.Var = V;
-  C2.Actions.push_back(
-      {CondAction::Kind::UnifyLocs, static_cast<uint32_t>(B),
-       static_cast<uint32_t>(C)});
+  C2.Actions = CS.addActions(
+      {{CondAction::Kind::UnifyLocs, static_cast<uint32_t>(B),
+        static_cast<uint32_t>(C)}});
   CS.addConditional(std::move(C2));
   CS.solve();
   EXPECT_TRUE(Locs.sameClass(A, B));

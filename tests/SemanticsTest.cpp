@@ -54,6 +54,33 @@ TEST(Interp, Arithmetic) {
   EXPECT_EQ(Res.Value, 2);
 }
 
+TEST(Interp, SignedOverflowIsStuck) {
+  // Arithmetic on int64 values that leaves the range ends the run as a
+  // fault instead of wrapping (undefined behaviour in the evaluator).
+  for (const char *Src :
+       {"fun main() : int { 9223372036854775807 + 1 }",
+        "fun main() : int { 0 - 9223372036854775807 - 2 }",
+        "fun twice(x : int) : int { x + x }\n"
+        "fun main() : int { twice(4611686018427387904) }",
+        "fun main() : int {\n"
+        "  let p = new 1 in 9223372036854775807 - (0 - *p) }"}) {
+    Ran R;
+    RunResult Res = R.run(Src);
+    EXPECT_EQ(Res.Status, RunStatus::Stuck) << Src;
+    EXPECT_EQ(Res.Note, "integer overflow") << Src;
+  }
+  // The range's ends themselves are exact.
+  Ran R;
+  RunResult Res = R.run("fun main() : int { 0 - 9223372036854775807 - 1 }");
+  ASSERT_EQ(Res.Status, RunStatus::Value) << Res.Note;
+  EXPECT_EQ(Res.Value, INT64_MIN);
+  Ran R2;
+  Res = R2.run(
+      "fun main() : int { 4611686018427387903 + 4611686018427387904 }");
+  ASSERT_EQ(Res.Status, RunStatus::Value) << Res.Note;
+  EXPECT_EQ(Res.Value, INT64_MAX);
+}
+
 TEST(Interp, LetBindingAndDeref) {
   Ran R;
   RunResult Res = R.run("fun main() : int { let p = new 41 in *p + 1 }");

@@ -18,10 +18,13 @@
 //    counters and metrics histograms on every committed fixture,
 //    regression reproducer and generated hard module, and identical
 //    solutions on constructed cyclic constraint graphs.
-//  * Edges added by fired conditionals keep the condensation valid
+//  * Edges added by fired conditionals keep the classes unchanged
 //    unless they close a cycle: each shape of fired edge gives the
-//    baseline's solutions and CHECK-SAT answers, and a hard module is
-//    condensed once per solve() instead of once per failed confine?.
+//    baseline's solutions and CHECK-SAT answers, and an acyclic hard
+//    module is solved on its variables, with one Tarjan pass per solve()
+//    and no variable merged. Without (Down), recursive helpers put
+//    variables on cycles: the merged classes still give the baseline's
+//    reports. Budget step charges of whole analyses are pinned.
 //  * Intersection feeds go through the per-element holder index: hub
 //    components, variables feeding both sides, element operands,
 //    unification between rounds, cycle-closing fired edges, backwards
@@ -314,11 +317,10 @@ TEST(SolverCollapse, CycleMembersShareOneSolution) {
 }
 
 //===----------------------------------------------------------------------===//
-// Fired edges keep the condensation valid unless they close a cycle.
+// Fired edges leave the classes unchanged unless they close a cycle.
 //===----------------------------------------------------------------------===//
 
-/// Counts the solver-condense spans (condensation builds) one call
-/// records.
+/// Counts the solver-condense spans (Tarjan passes) one call records.
 template <typename Fn> size_t countCondenseSpans(Fn &&Run) {
   TraceSink Sink;
   {
@@ -381,7 +383,7 @@ void buildFiredEdgeSystem(LocTable &Locs, ConstraintSystem &CS,
     C.P = CondConstraint::Premise::LocInVar;
     C.Rho = Rho;
     C.Var = Var;
-    C.Actions = std::move(Actions);
+    C.Actions = CS.addActions(Actions);
     CS.addConditional(std::move(C));
   };
   for (size_t I = 0; I < Case.Round1.size(); ++I) {
@@ -437,7 +439,7 @@ const FiredEdgeCase FiredEdgeCases[] = {
     // v5 -> v4: component 4 to 1, downhill in Tarjan order.
     {"Downhill", {{{AK::AddEdge, 5, 4}}}, {}, 1},
     // v4 -> v8: component 1 to 6, uphill; v8 has no path back. Then
-    // l0 enters v3 and must reach v8 by propagation along the overflow
+    // l0 enters v3 and must reach v8 by propagation along the fired-list
     // edge; v8 feeds the intersection, which passes read(l3) to v9.
     {"UphillNoPathBack",
      {{{AK::AddEdge, 4, 8}, {AK::AddElemAllKinds, 0, 3}}},
@@ -445,8 +447,8 @@ const FiredEdgeCase FiredEdgeCases[] = {
      1},
     // Round 1 adds v4 -> v5 (uphill, no path back) and v4 -> v8. Round 2
     // adds v6 -> v3, which closes v3 -> v4 -> v5 -> v6 -> v3 through the
-    // first overflow edge: a rebuild folds four components into one and
-    // must re-queue the merged set, since v5's and v6's seeds never
+    // first fired-list edge: a Tarjan pass merges four classes into one
+    // and must re-queue the merged set, since v5's and v6's seeds never
     // flowed along v4 -> v8.
     {"ClosesCycleThroughOverflowEdge",
      {{{AK::AddEdge, 4, 5}, {AK::AddEdge, 4, 8}}},
@@ -454,7 +456,7 @@ const FiredEdgeCase FiredEdgeCases[] = {
      2},
     // The same edge from several conditionals, as a failed confine?
     // fires its action list from up to four, plus v3 -> v4, which the
-    // CSR already has.
+    // edge view already has.
     {"RepeatsExistingEdge",
      {{{AK::AddEdge, 5, 4}, {AK::AddEdge, 3, 4}},
       {{AK::AddEdge, 5, 4}, {AK::AddEdge, 3, 4}},
@@ -596,15 +598,15 @@ std::vector<EffVar> unifyShape(LocTable &Locs, ConstraintSystem &CS) {
   C1.P = CondConstraint::Premise::LocInVar;
   C1.Rho = T;
   C1.Var = Trigger;
-  C1.Actions = {{CondAction::Kind::UnifyLocs, X, Y},
-                {CondAction::Kind::UnifyLocs, W, Z}};
+  C1.Actions = CS.addActions({{CondAction::Kind::UnifyLocs, X, Y},
+                              {CondAction::Kind::UnifyLocs, W, Z}});
   CS.addConditional(std::move(C1));
   CondConstraint C2;
   C2.P = CondConstraint::Premise::LocInVar;
   C2.Rho = Y;
   C2.Var = Out;
-  C2.Actions = {{CondAction::Kind::AddElemAllKinds, Z, C},
-                {CondAction::Kind::UnifyLocs, U, X}};
+  C2.Actions = CS.addActions({{CondAction::Kind::AddElemAllKinds, Z, C},
+                              {CondAction::Kind::UnifyLocs, U, X}});
   CS.addConditional(std::move(C2));
   CS.solve();
   return {};
@@ -632,9 +634,9 @@ std::vector<EffVar> mergeHolderShape(LocTable &Locs, ConstraintSystem &CS) {
   C.P = CondConstraint::Premise::LocInVar;
   C.Rho = T;
   C.Var = Trigger;
-  C.Actions = {{CondAction::Kind::AddEdge, Q, P},
-               {CondAction::Kind::AddElemAllKinds, L1, Q},
-               {CondAction::Kind::AddElemReadWrite, L0, R}};
+  C.Actions = CS.addActions({{CondAction::Kind::AddEdge, Q, P},
+                             {CondAction::Kind::AddElemAllKinds, L1, Q},
+                             {CondAction::Kind::AddElemReadWrite, L0, R}});
   CS.addConditional(std::move(C));
   CS.solve();
   return {};
@@ -746,8 +748,13 @@ TEST(SolverHolderIndexHub, FlushesProbeOnlyHeldElements) {
 // metrics histograms, and the lock report under both update regimes, in
 // both pipeline modes. The two counters that measure solver work at its
 // own granularity (propagated-elems, checksat-visits: per variable in the
-// baseline, per component when collapsed) are left out.
-std::string analysisFingerprint(const std::string &Source) {
+// baseline, per class when collapsed) are left out.
+//
+// \p Collapsed, when non-null, receives the most variables any of the
+// runs folded into another's class.
+std::string analysisFingerprint(const std::string &Source,
+                                bool ApplyDown = true,
+                                uint64_t *Collapsed = nullptr) {
   auto SolverGranular = [](const std::string &Name) {
     return Name == "propagated-elems" || Name == "checksat-visits";
   };
@@ -755,6 +762,7 @@ std::string analysisFingerprint(const std::string &Source) {
   for (int Mode = 0; Mode < 2; ++Mode) {
     PipelineOptions Opts;
     Opts.Mode = Mode ? PipelineMode::CheckAnnotations : PipelineMode::Infer;
+    Opts.ApplyDown = ApplyDown;
     AnalysisSession S(Opts);
     MetricsRegistry Metrics;
     bool Ok;
@@ -783,6 +791,9 @@ std::string analysisFingerprint(const std::string &Source) {
           F += " " + std::to_string(B) + ":" + std::to_string(H.buckets()[B]);
       F += "\n";
     }
+    if (S.hasResult() && Collapsed)
+      *Collapsed = std::max<uint64_t>(
+          *Collapsed, S.result().State->CS.stats().CollapsedVars);
     if (S.hasResult()) {
       AstPrinter P(S.context());
       F += P.print(S.result().Analyzed);
@@ -815,6 +826,25 @@ TEST_P(SolverIdentityCorpus, BaselineAndCollapsedReportsAreIdentical) {
   std::string Optimized = analysisFingerprint(Source);
   setenv("LNA_SOLVER_BASELINE", "1", 1);
   std::string Baseline = analysisFingerprint(Source);
+  unsetenv("LNA_SOLVER_BASELINE");
+
+  EXPECT_EQ(Optimized, Baseline) << GetParam();
+}
+
+// The (Down)-off leg: without (Down), effects cycle through recursive
+// calls, so the collapsed solver merges classes.
+TEST_P(SolverIdentityCorpus,
+       BaselineAndCollapsedReportsAreIdenticalWithoutDown) {
+  std::ifstream In(GetParam());
+  ASSERT_TRUE(In.good()) << "cannot open " << GetParam();
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  std::string Source = Buf.str();
+
+  unsetenv("LNA_SOLVER_BASELINE");
+  std::string Optimized = analysisFingerprint(Source, false);
+  setenv("LNA_SOLVER_BASELINE", "1", 1);
+  std::string Baseline = analysisFingerprint(Source, false);
   unsetenv("LNA_SOLVER_BASELINE");
 
   EXPECT_EQ(Optimized, Baseline) << GetParam();
@@ -879,17 +909,85 @@ INSTANTIATE_TEST_SUITE_P(Clean400, SolverIdentityGenerated,
                          ::testing::Values(GeneratedModule{
                              ModuleCategory::Clean, 1, 400}));
 
-TEST(SolverFiredEdgeRegression, HardModuleCondensesOncePerSolve) {
-  // Regression: every fired AddEdge that added a component edge used to
-  // rebuild the whole condensation, close to 300 times on a 160 KB hard
-  // module. Inference runs one solve(), and no confine? edge in these
-  // modules closes a cycle.
+// The (Down)-off leg on clean modules, whose recursive helpers put
+// effect variables on cycles: the collapsed solver must really merge
+// classes (a fired edge can merge more), and still match the baseline.
+class SolverIdentityGeneratedWithoutDown
+    : public ::testing::TestWithParam<GeneratedModule> {};
+
+TEST_P(SolverIdentityGeneratedWithoutDown, MergesCyclesAndMatchesBaseline) {
+  const GeneratedModule &M = GetParam();
+  std::string Source = generateModule(M.Category, M.Seed, M.Size).Source;
+  unsetenv("LNA_SOLVER_BASELINE");
+  uint64_t Collapsed = 0;
+  std::string Optimized = analysisFingerprint(Source, false, &Collapsed);
+  setenv("LNA_SOLVER_BASELINE", "1", 1);
+  std::string Baseline = analysisFingerprint(Source, false);
+  unsetenv("LNA_SOLVER_BASELINE");
+  EXPECT_GT(Collapsed, 0u);
+  EXPECT_NE(Optimized.find("inference/cond-firings"), std::string::npos);
+  EXPECT_EQ(Optimized, Baseline);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CleanRecursive, SolverIdentityGeneratedWithoutDown,
+    ::testing::Values(GeneratedModule{ModuleCategory::Clean, 1, 400},
+                      GeneratedModule{ModuleCategory::Clean, 2, 400},
+                      GeneratedModule{ModuleCategory::Clean, 3, 200}));
+
+TEST(SolverFiredEdgeRegression, AcyclicHardModuleSolvesOnItsVariables) {
+  // With (Down) on no plain-edge cycle exists, so the solver must work
+  // on the variables themselves: one Tarjan pass per solve, no variable
+  // folded into another's class (no leader map, no member chains, no
+  // component graph), and no pass for any of the hundreds of edges that
+  // failed confine? candidates fire.
   unsetenv("LNA_SOLVER_BASELINE");
   std::string Source = generateModule(ModuleCategory::Hard, 7, 200).Source;
   AnalysisSession S(PipelineOptions{});
   size_t Condenses = countCondenseSpans([&] { ASSERT_TRUE(S.run(Source)); });
   EXPECT_GT(S.stats().counter("inference", "cond-firings"), 100u);
   EXPECT_EQ(Condenses, 1u);
+  EXPECT_EQ(S.result().State->CS.stats().CollapsedVars, 0u);
+}
+
+TEST(SolverBudget, WholeAnalysisStepChargesArePinned) {
+  // --max-steps verdicts depend on these charges, which depend on the
+  // solver's worklist order, batch sizes and CHECK-SAT pops. The clean
+  // module merges 427 variables without (Down); the baseline never
+  // merges, so it pops more.
+  struct Case {
+    ModuleCategory Category;
+    uint64_t Seed;
+    uint32_t Size;
+    bool ApplyDown;
+    PipelineMode Mode;
+    bool Baseline;
+    uint64_t Steps;
+  };
+  const Case Cases[] = {
+      {ModuleCategory::Hard, 7, 200, true, PipelineMode::Infer, false, 47732},
+      {ModuleCategory::Hard, 7, 200, false, PipelineMode::Infer, false, 49210},
+      {ModuleCategory::Hard, 7, 200, true, PipelineMode::CheckAnnotations,
+       false, 3057},
+      {ModuleCategory::Clean, 1, 400, false, PipelineMode::Infer, false, 62464},
+      {ModuleCategory::Clean, 1, 400, false, PipelineMode::Infer, true, 66368},
+  };
+  for (const Case &C : Cases) {
+    if (C.Baseline)
+      setenv("LNA_SOLVER_BASELINE", "1", 1);
+    PipelineOptions Opts;
+    Opts.Mode = C.Mode;
+    Opts.ApplyDown = C.ApplyDown;
+    Opts.Limits.MaxSteps = uint64_t(1) << 40;
+    AnalysisSession S(Opts);
+    bool Ok = S.run(generateModule(C.Category, C.Seed, C.Size).Source);
+    unsetenv("LNA_SOLVER_BASELINE");
+    ASSERT_TRUE(Ok);
+    EXPECT_EQ(S.budget().steps(), C.Steps)
+        << "seed " << C.Seed << " size " << C.Size
+        << (C.ApplyDown ? "" : " without (Down)")
+        << (C.Baseline ? " baseline" : "");
+  }
 }
 
 TEST(SolverHolderIndexRegression, HardModuleProbesBelowPropagatedElems) {
@@ -1097,7 +1195,7 @@ TEST(SolverFlatLogs, ExplainPathThroughAFiredEdgeCarriesTheNote) {
     C.P = CondConstraint::Premise::LocInVar;
     C.Rho = T;
     C.Var = 2;
-    C.Actions = {{CondAction::Kind::AddEdge, 0, 1}};
+    C.Actions = CS.addActions({{CondAction::Kind::AddEdge, 0, 1}});
     CS.addConditional(std::move(C));
     // The firing, not whatever origin is current, stamps the edge.
     CS.setOrigin({9, 9}, "a later construct");

@@ -60,6 +60,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/Session.h"
 #include "serve/Invocation.h"
 #include "support/FileIO.h"
 #include "support/Subprocess.h"
@@ -71,6 +72,12 @@
 using namespace lna;
 
 namespace {
+
+/// The finished analysis session, never destroyed: the process is about
+/// to exit, and tearing down the AST arena and the solved constraint
+/// system costs about a millisecond on a large module. A global keeps it
+/// reachable, so leak checkers stay quiet.
+AnalysisSession *FinishedSession = nullptr;
 
 void usage() {
   std::fprintf(
@@ -129,8 +136,12 @@ int main(int Argc, char **Argv) {
     return 4;
   }
 
-  if (Cli.CacheDir.empty())
-    return deliver(runInvocation(Cli, Source, nullptr));
+  if (Cli.CacheDir.empty()) {
+    std::unique_ptr<AnalysisSession> Session;
+    InvocationResult R = runInvocation(Cli, Source, nullptr, &Session);
+    FinishedSession = Session.release();
+    return deliver(R);
+  }
 
   CacheStore Store(Cli.CacheDir);
   if (!Store.ok()) {

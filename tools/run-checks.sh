@@ -33,16 +33,17 @@
 #     corpus run under the Andersen backend (the solver does raw bitset
 #     and CSR-graph indexing), and a precision-differential fuzz smoke
 #     cross-checking the two backends' refinement contract.
-#  7. Solver stage: the `solver`-labeled suite under asan-ubsan (SCC
-#     condensation, the intersection-feed holder index, small-set spill
+#  7. Solver stage: the `solver`-labeled suite under asan-ubsan (cycle
+#     classes, the intersection-feed holder index, small-set spill
 #     boundaries, quantile edges), a byte-identity diff of full-corpus
 #     reports between the collapsed solver and the LNA_SOLVER_BASELINE=1
 #     uncollapsed solver for both alias backends (the baseline also keeps
 #     the pre-index probing of every intersection feed, so the diff
 #     cross-checks the holder index too), the same diff of
-#     `--check --explain --stats` and `--backwards --stats` on the four
-#     fixtures (provenance replay and the backwards scope read the
-#     per-variable constraint view off the hot path), and solver-agreement
+#     `--check --explain --stats`, `--backwards --stats` and
+#     `--no-down --stats` on the four fixtures (provenance replay and the
+#     backwards scope read the per-variable constraint view off the hot
+#     path; without (Down) the solver merges cycles), and solver-agreement
 #     fuzz smoke
 #     runs, which check propagation against CHECK-SAT, under both alias
 #     backends with the collapse and the index enabled (the default, but
@@ -189,11 +190,13 @@ for backend in steensgaard andersen; do
     "build-asan-ubsan/solver_base_$backend.txt"
 done
 
-echo "== asan-ubsan: collapsed-vs-baseline explain and backwards-scope identity =="
+echo "== asan-ubsan: collapsed-vs-baseline explain, backwards-scope and no-down identity =="
 # The two readers of the per-variable constraint view that the corpus
 # diff above does not reach: provenance replay (--explain) and the
-# backwards-search scope (--backwards). run_stripped OUT CMD... runs CMD
-# into OUT with its exit status appended and timings stripped.
+# backwards-search scope (--backwards); and the solver without (Down),
+# where recursion puts effect variables on cycles that the collapsed
+# solver merges. run_stripped OUT CMD... runs CMD into OUT with its exit
+# status appended and timings stripped.
 run_stripped() {
   out=$1
   shift
@@ -203,7 +206,8 @@ run_stripped() {
   sed -i -E 's/ *[0-9]+\.[0-9]+ ms/ T ms/' "$out"
 }
 for fixture in tests/fixtures/*.lna; do
-  for flags in "--check --explain --stats" "--backwards --stats"; do
+  for flags in "--check --explain --stats" "--backwards --stats" \
+    "--no-down --stats"; do
     tag=$(basename "$fixture" .lna)$(echo "$flags" | tr -d ' -')
     run_stripped "build-asan-ubsan/solver_opt_$tag.txt" \
       ./build-asan-ubsan/tools/lna-analyze $flags "$fixture"
