@@ -12,19 +12,19 @@
 #include "obs/FlightRecorder.h"
 #include "obs/Progress.h"
 #include "qual/LockAnalysis.h"
+#include "support/FileIO.h"
 #include "support/Hash.h"
 #include "support/Subprocess.h"
 #include "support/ThreadPool.h"
 #include "support/Version.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 #include <unistd.h>
 #include <unordered_map>
@@ -58,6 +58,19 @@ bool failureKindFromName(const std::string &Name, FailureKind &Out) {
   return false;
 }
 
+/// The options of one analyzeModuleAllModes pipeline: no-confine and
+/// all-strong share CheckAnnotations, confine inference runs Infer.
+/// Built only here, so the option digests hash exactly the options the
+/// analysis runs with.
+PipelineOptions modePipeline(PipelineMode Mode, const ResourceLimits &Limits,
+                             AliasBackendKind Backend) {
+  PipelineOptions Opts;
+  Opts.Mode = Mode;
+  Opts.Limits = Limits;
+  Opts.AliasBackend = Backend;
+  return Opts;
+}
+
 } // namespace
 
 ModuleModeResult lna::analyzeModuleAllModes(const std::string &Source) {
@@ -68,6 +81,7 @@ ModuleModeResult
 lna::analyzeModuleAllModes(const std::string &Source,
                            const ModuleAnalysisOptions &MOpts) {
   ModuleModeResult Out;
+  Out.HasMetrics = MOpts.CollectMetrics;
   // The injected hook governs the whole module analysis: every arena
   // allocation and phase boundary of the three mode pipelines below.
   std::optional<FaultHookScope> Hook;
@@ -90,11 +104,8 @@ lna::analyzeModuleAllModes(const std::string &Source,
     // No-confine and all-strong share the annotation-checking pipeline
     // (plain CQual aliasing: no splits, no candidates).
     {
-      PipelineOptions Opts;
-      Opts.Mode = PipelineMode::CheckAnnotations;
-      Opts.Limits = MOpts.Limits;
-      Opts.AliasBackend = MOpts.AliasBackend;
-      AnalysisSession S(Opts);
+      AnalysisSession S(modePipeline(PipelineMode::CheckAnnotations,
+                                     MOpts.Limits, MOpts.AliasBackend));
       if (!S.run(Source)) {
         Out.Stats.merge(S.stats());
         recordSessionFailure(Out, S, *S.failure());
@@ -115,10 +126,8 @@ lna::analyzeModuleAllModes(const std::string &Source,
 
     // Confine inference.
     {
-      PipelineOptions Opts;
-      Opts.Limits = MOpts.Limits;
-      Opts.AliasBackend = MOpts.AliasBackend;
-      AnalysisSession S(Opts);
+      AnalysisSession S(
+          modePipeline(PipelineMode::Infer, MOpts.Limits, MOpts.AliasBackend));
       bool Ok = S.run(Source);
       if (!Ok) {
         Out.Stats.merge(S.stats());
@@ -151,45 +160,31 @@ lna::analyzeModuleAllModes(const std::string &Source,
 
 std::string lna::moduleContentDigest(const ModuleSpec &Spec,
                                      const ExperimentOptions &Opts) {
-  // Both mode pipelines of analyzeModuleAllModes participate: an option
-  // change to either invalidates the module's cached/journaled outcome.
-  PipelineOptions Check;
-  Check.Mode = PipelineMode::CheckAnnotations;
-  Check.Limits = Opts.Limits;
-  Check.AliasBackend = Opts.AliasBackend;
-  PipelineOptions Infer;
-  Infer.Limits = Opts.Limits;
-  Infer.AliasBackend = Opts.AliasBackend;
   ContentDigest D;
-  D.update(std::string_view(AnalyzerVersion));
-  D.update(canonicalOptionsFingerprint(Check));
-  D.update(canonicalOptionsFingerprint(Infer));
+  D.update(experimentOptionsDigest(Opts));
   D.update(Spec.Source);
   D.update(Spec.LoadError);
   return D.hex();
 }
 
 std::string lna::experimentOptionsDigest(const ExperimentOptions &Opts) {
-  PipelineOptions Check;
-  Check.Mode = PipelineMode::CheckAnnotations;
-  Check.Limits = Opts.Limits;
-  Check.AliasBackend = Opts.AliasBackend;
-  PipelineOptions Infer;
-  Infer.Limits = Opts.Limits;
-  Infer.AliasBackend = Opts.AliasBackend;
+  // Both mode pipelines of analyzeModuleAllModes participate: an option
+  // change to either invalidates every cached/journaled outcome.
   ContentDigest D;
   D.update(std::string_view(AnalyzerVersion));
-  D.update(canonicalOptionsFingerprint(Check));
-  D.update(canonicalOptionsFingerprint(Infer));
+  for (PipelineMode Mode :
+       {PipelineMode::CheckAnnotations, PipelineMode::Infer})
+    D.update(canonicalOptionsFingerprint(
+        modePipeline(Mode, Opts.Limits, Opts.AliasBackend)));
   return D.hex();
 }
 
 std::string lna::serializeModuleOutcome(const ModuleOutcome &O,
-                                        uint32_t Index) {
+                                        uint32_t Index, bool WithStats) {
   const ModuleModeResult &R = O.R;
-  std::string Stats = R.Stats.empty() ? std::string() : R.Stats.serialize();
-  std::string Metrics =
-      R.Metrics.empty() ? std::string() : R.Metrics.serialize();
+  std::string Stats =
+      !WithStats || R.Stats.empty() ? std::string() : R.Stats.serialize();
+  std::string Metrics = R.HasMetrics ? R.Metrics.serialize() : std::string();
   std::string Out = "outcome 2 ";
   Out += std::to_string(Index);
   Out += ' ';
@@ -287,7 +282,8 @@ WireParse lna::parseModuleOutcome(std::string_view Buf, size_t &Consumed,
       !Out.R.Stats.deserialize(Buf.substr(Pos, StatsLen)))
     return WireParse::Corrupt;
   Pos += StatsLen;
-  if (MetricsLen != 0 &&
+  Out.R.HasMetrics = MetricsLen != 0;
+  if (Out.R.HasMetrics &&
       !Out.R.Metrics.deserialize(Buf.substr(Pos, MetricsLen)))
     return WireParse::Corrupt;
   Pos += MetricsLen;
@@ -295,6 +291,39 @@ WireParse lna::parseModuleOutcome(std::string_view Buf, size_t &Consumed,
   O = std::move(Out);
   Consumed = Pos;
   return WireParse::Ok;
+}
+
+bool lna::restoreModuleRecord(std::string_view Record, RecordSource From,
+                              bool WantMetrics, ModuleOutcome &Slot) {
+  size_t Consumed = 0;
+  uint32_t Index = 0;
+  ModuleOutcome Stored;
+  if (parseModuleOutcome(Record, Consumed, Index, Stored) != WireParse::Ok ||
+      Consumed != Record.size())
+    return false;
+  ModuleModeResult &R = Stored.R;
+  // Only deterministic outcomes are ever stored in the cache; anything
+  // else means corruption (the envelope checksum makes this nearly
+  // unreachable).
+  if (From == RecordSource::Cache && !R.Ok &&
+      R.Failure != FailureKind::ParseError &&
+      R.Failure != FailureKind::TypeError)
+    return false;
+  if (WantMetrics && !R.HasMetrics)
+    return false;
+  if (!WantMetrics) {
+    R.Metrics = MetricsRegistry();
+    R.HasMetrics = false;
+  }
+  Slot = ModuleOutcome();
+  Slot.R = std::move(R);
+  if (From == RecordSource::Cache) {
+    Slot.Cache = CacheUse::Hit;
+  } else {
+    Slot.Resumed = true;
+    Slot.Retried = Stored.Retried;
+  }
+  return true;
 }
 
 uint64_t lna::moduleFaultSeed(uint64_t Base, const std::string &Name,
@@ -341,63 +370,93 @@ std::string lna::sanitizeModuleName(const std::string &Name) {
 
 namespace {
 
-bool looksLikeDigest(const std::string &S) {
-  if (S.size() != 32)
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
+constexpr std::string_view JournalRowMagic = "checkpoint ";
+
+bool isLowerHex(std::string_view S) {
+  return std::all_of(S.begin(), S.end(), [](char C) {
+    return (C >= '0' && C <= '9') || (C >= 'a' && C <= 'f');
+  });
 }
 
-/// The integrity sentinel ending every journal row. A row whose final
-/// write was torn by a kill (or by a filesystem that persisted only a
-/// prefix) lacks it and is skipped on resume.
-constexpr const char *JournalRowEnd = "end";
+/// Frames one checkpoint row at the front of \p Buf (the format is
+/// documented on CheckpointJournal). NeedMore means \p Buf ends inside
+/// the row: a torn tail.
+WireParse parseJournalRow(std::string_view Buf, size_t &Consumed,
+                          std::string_view &Name, std::string_view &Digest,
+                          std::string_view &Record) {
+  // The magic, a 32-digit digest and a decimal length fit in 64 bytes.
+  size_t NL = Buf.find('\n');
+  if (NL == std::string_view::npos)
+    return Buf.size() > 64 ? WireParse::Corrupt : WireParse::NeedMore;
+  std::string_view Header = Buf.substr(0, NL);
+  if (Header.substr(0, JournalRowMagic.size()) != JournalRowMagic)
+    return WireParse::Corrupt;
+  Header.remove_prefix(JournalRowMagic.size());
+  if (Header.size() < 34 || Header[32] != ' ' ||
+      !isLowerHex(Header.substr(0, 32)))
+    return WireParse::Corrupt;
+  size_t NameLen = 0;
+  const char *LenEnd = Header.data() + Header.size();
+  auto [End, Ec] = std::from_chars(Header.data() + 33, LenEnd, NameLen);
+  if (Ec != std::errc() || End != LenEnd)
+    return WireParse::Corrupt;
+  size_t Body = NL + 1;
+  if (Buf.size() - Body < NameLen)
+    return WireParse::NeedMore;
+  size_t RecordLen = 0;
+  uint32_t Index = 0;
+  ModuleOutcome O;
+  WireParse W =
+      parseModuleOutcome(Buf.substr(Body + NameLen), RecordLen, Index, O);
+  if (W != WireParse::Ok)
+    return W;
+  Digest = Header.substr(0, 32);
+  Name = Buf.substr(Body, NameLen);
+  Record = Buf.substr(Body + NameLen, RecordLen);
+  Consumed = Body + NameLen + RecordLen;
+  return WireParse::Ok;
+}
 
 } // namespace
-
-std::unordered_map<std::string, CheckpointRow>
-lna::loadCheckpointJournal(const std::string &Path) {
-  std::unordered_map<std::string, CheckpointRow> Rows;
-  std::ifstream In(Path);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    std::istringstream Fields(Line);
-    std::string Name, Status;
-    CheckpointRow Row;
-    int Retried = 0;
-    if (!std::getline(Fields, Name, '\t') ||
-        !std::getline(Fields, Row.Digest, '\t') ||
-        !std::getline(Fields, Status, '\t'))
-      continue;
-    if (!looksLikeDigest(Row.Digest))
-      continue;
-    if (!(Fields >> Retried >> Row.Counts.NoConfine >>
-          Row.Counts.ConfineInference >> Row.Counts.AllStrong))
-      continue;
-    // The sentinel must be the row's last token: a numeric field torn
-    // mid-digit would still parse above, so "all fields present" is not
-    // the same thing as "the row was written completely".
-    std::string End, Extra;
-    if (!(Fields >> End) || End != JournalRowEnd || (Fields >> Extra))
-      continue;
-    if (Status == "ok")
-      Row.Failure = FailureKind::None;
-    else if (!failureKindFromName(Status, Row.Failure))
-      continue;
-    Row.Retried = Retried != 0;
-    Rows[Name] = Row;
-  }
-  return Rows;
-}
 
 CheckpointJournal::~CheckpointJournal() { close(); }
 
 bool CheckpointJournal::open(const std::string &Path) {
   close();
+  Rows.clear();
+  // A missing (or unreadable) file loads no rows.
+  readWholeFile(Path, Loaded);
+  size_t Pos = 0;
+  while (Pos < Loaded.size()) {
+    std::string_view Rest = std::string_view(Loaded).substr(Pos);
+    size_t Consumed = 0;
+    std::string_view Name, Digest, Record;
+    WireParse W = parseJournalRow(Rest, Consumed, Name, Digest, Record);
+    if (W == WireParse::Ok) {
+      Rows[Name] = Row{Digest, Record}; // the last row of a module wins
+      Pos += Consumed;
+      continue;
+    }
+    size_t NL = Rest.find('\n');
+    if (W == WireParse::NeedMore || NL == std::string_view::npos)
+      break; // a torn tail
+    Pos += NL + 1; // skip a row that does not parse
+  }
   Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  // Cut a torn tail before the first append: a row glued onto the
+  // fragment would not load on the next resume.
+  if (Fd >= 0 && Pos < Loaded.size() &&
+      ::ftruncate(Fd, static_cast<off_t>(Pos)) != 0)
+    close();
   return Fd >= 0;
+}
+
+std::string_view CheckpointJournal::find(const std::string &Name,
+                                         const std::string &Digest) const {
+  auto It = Rows.find(Name);
+  if (It == Rows.end() || It->second.Digest != Digest)
+    return {};
+  return It->second.Record;
 }
 
 void CheckpointJournal::append(const std::string &Name,
@@ -405,23 +464,13 @@ void CheckpointJournal::append(const std::string &Name,
                                const ModuleOutcome &O) {
   if (Fd < 0)
     return;
-  const ModuleModeResult &R = O.R;
-  std::string Row = Name;
-  Row += '\t';
+  std::string Row(JournalRowMagic);
   Row += Digest;
-  Row += '\t';
-  Row += R.Ok ? "ok" : failureKindName(R.Failure);
-  Row += '\t';
-  Row += O.Retried ? '1' : '0';
-  Row += '\t';
-  Row += std::to_string(R.Counts.NoConfine);
-  Row += '\t';
-  Row += std::to_string(R.Counts.ConfineInference);
-  Row += '\t';
-  Row += std::to_string(R.Counts.AllStrong);
-  Row += '\t';
-  Row += JournalRowEnd;
+  Row += ' ';
+  Row += std::to_string(Name.size());
   Row += '\n';
+  Row += Name;
+  Row += serializeModuleOutcome(O, 0, /*WithStats=*/false);
   std::lock_guard<std::mutex> Lock(Mutex);
   // One write per row (O_APPEND keeps concurrent appenders from
   // interleaving), then fsync: the row only counts as durable once it
@@ -439,95 +488,6 @@ void CheckpointJournal::close() {
 }
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Module cache entries
-//===----------------------------------------------------------------------===//
-//
-// A deterministic module outcome serializes as one header line plus
-// three length-framed blobs:
-//
-//   module 1 <ok> <failure-kind> <no-confine> <confine-inf> <all-strong>
-//            <error-len> <phase-len> <metrics-len>\n
-//   <error-bytes><failed-phase-bytes><metrics-bytes>
-//
-// The metrics blob is a serialized MetricsRegistry (present only when
-// the producing run collected metrics), so a warm metrics run merges
-// byte-identical registries in module order. Entries carry everything
-// the aggregation consumes except SessionStats, which is timing-bearing
-// by definition and -- like checkpoint-resumed rows -- contributes
-// nothing for cache hits.
-
-std::string serializeModuleEntry(const ModuleModeResult &R,
-                                 bool WithMetrics) {
-  std::string Metrics = WithMetrics ? R.Metrics.serialize() : std::string();
-  std::string Out = "module 1 ";
-  Out += R.Ok ? "1" : "0";
-  Out += ' ';
-  Out += failureKindName(R.Failure);
-  Out += ' ';
-  Out += std::to_string(R.Counts.NoConfine);
-  Out += ' ';
-  Out += std::to_string(R.Counts.ConfineInference);
-  Out += ' ';
-  Out += std::to_string(R.Counts.AllStrong);
-  Out += ' ';
-  Out += std::to_string(R.Error.size());
-  Out += ' ';
-  Out += std::to_string(R.FailedPhase.size());
-  Out += ' ';
-  Out += std::to_string(Metrics.size());
-  Out += '\n';
-  Out += R.Error;
-  Out += R.FailedPhase;
-  Out += Metrics;
-  return Out;
-}
-
-/// Restores a cached entry into \p R (callers pass a fresh result and
-/// discard it on failure). Returns false when the entry does not parse
-/// or cannot serve this run -- notably an entry stored without metrics
-/// consulted by a metrics-collecting run.
-bool restoreModuleEntry(const std::string &Entry, bool WantMetrics,
-                        ModuleModeResult &R) {
-  unsigned long long Ver = 0, Ok = 0, NC = 0, CI = 0, AS = 0;
-  unsigned long long ErrLen = 0, PhaseLen = 0, MetricsLen = 0;
-  char Kind[32] = {0};
-  int Used = 0;
-  if (std::sscanf(Entry.c_str(), "module %llu %llu %31s %llu %llu %llu %llu "
-                                 "%llu %llu\n%n",
-                  &Ver, &Ok, Kind, &NC, &CI, &AS, &ErrLen, &PhaseLen,
-                  &MetricsLen, &Used) != 9 ||
-      Ver != 1 || Used <= 0)
-    return false;
-  size_t Pos = static_cast<size_t>(Used);
-  size_t Rest = Entry.size() - Pos;
-  if (ErrLen > Rest || PhaseLen > Rest - ErrLen ||
-      MetricsLen != Rest - ErrLen - PhaseLen)
-    return false;
-  FailureKind FK = FailureKind::None;
-  if (!failureKindFromName(Kind, FK))
-    return false;
-  // Only deterministic outcomes are ever stored; anything else means
-  // corruption (the envelope checksum makes this nearly unreachable).
-  if (!(Ok ? FK == FailureKind::None
-           : (FK == FailureKind::ParseError || FK == FailureKind::TypeError)))
-    return false;
-  if (WantMetrics && MetricsLen == 0)
-    return false;
-  R.Ok = Ok != 0;
-  R.Failure = FK;
-  R.Counts.NoConfine = static_cast<uint32_t>(NC);
-  R.Counts.ConfineInference = static_cast<uint32_t>(CI);
-  R.Counts.AllStrong = static_cast<uint32_t>(AS);
-  R.Error = Entry.substr(Pos, ErrLen);
-  R.FailedPhase = Entry.substr(Pos + ErrLen, PhaseLen);
-  if (WantMetrics &&
-      !R.Metrics.deserialize(
-          std::string_view(Entry).substr(Pos + ErrLen + PhaseLen, MetricsLen)))
-    return false;
-  return true;
-}
 
 /// Chains the run's observability hooks in front of an (optional)
 /// fault injector at every phase-boundary site: first the flight
@@ -564,6 +524,7 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
     // depend on filesystem state, so they are never cached either.
     Slot.R.Failure = FailureKind::ParseError;
     Slot.R.Error = Spec.LoadError;
+    Slot.R.HasMetrics = Opts.CollectMetrics;
     return Slot;
   }
 
@@ -580,12 +541,9 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
     // file) but still store below, warming the cache for later runs.
     if (Opts.TraceDir.empty()) {
       if (std::optional<std::string> Entry = Opts.Cache->load(Key)) {
-        ModuleModeResult R;
-        if (restoreModuleEntry(*Entry, Opts.CollectMetrics, R)) {
-          Slot.Cache = CacheUse::Hit;
-          Slot.R = std::move(R);
+        if (restoreModuleRecord(*Entry, RecordSource::Cache,
+                                Opts.CollectMetrics, Slot))
           return Slot;
-        }
         Opts.Cache->noteSemanticStale();
         Slot.Cache = CacheUse::Stale;
       }
@@ -677,20 +635,8 @@ ModuleOutcome lna::runModuleGoverned(const ModuleSpec &Spec,
       (Slot.R.Ok || Slot.R.Failure == FailureKind::ParseError ||
        Slot.R.Failure == FailureKind::TypeError))
     Slot.CacheStoreFailed = !Opts.Cache->store(
-        Key, serializeModuleEntry(Slot.R, Opts.CollectMetrics));
+        Key, serializeModuleOutcome(Slot, 0, /*WithStats=*/false));
   return Slot;
-}
-
-/// Restores a fresh checkpoint row into an outcome slot. Per-phase
-/// stats of resumed modules are gone, which only affects the (timing-
-/// bearing, non-deterministic) stats section, never the report.
-static void restoreFromCheckpoint(ModuleOutcome &Slot,
-                                  const CheckpointRow &Row) {
-  Slot.Resumed = true;
-  Slot.Retried = Row.Retried;
-  Slot.R.Ok = Row.Failure == FailureKind::None;
-  Slot.R.Failure = Row.Failure;
-  Slot.R.Counts = Row.Counts;
 }
 
 CorpusSummary
@@ -706,26 +652,23 @@ lna::runCorpusExperiment(const std::vector<ModuleSpec> &Corpus,
 
   // Checkpoint journal: previously completed modules are restored
   // instead of re-analyzed; newly completed modules are appended (each
-  // row fsync'ed with a trailing sentinel) as they finish, so a killed
-  // run loses at most the modules in flight.
-  std::unordered_map<std::string, CheckpointRow> Resumed;
+  // row fsync'ed) as they finish, so a killed run loses at most the
+  // modules in flight.
   CheckpointJournal Journal;
-  if (!Opts.CheckpointFile.empty()) {
-    Resumed = loadCheckpointJournal(Opts.CheckpointFile);
+  if (!Opts.CheckpointFile.empty())
     Journal.open(Opts.CheckpointFile);
-  }
   auto RunOne = [&](size_t I) {
     const ModuleSpec &Spec = Corpus[I];
     std::string Digest;
     if (!Opts.CheckpointFile.empty())
       Digest = moduleContentDigest(Spec, Opts);
-    if (auto It = Resumed.find(Spec.Name);
-        It != Resumed.end() && It->second.Digest == Digest) {
+    if (restoreModuleRecord(Journal.find(Spec.Name, Digest),
+                            RecordSource::Checkpoint, Opts.CollectMetrics,
+                            Results[I])) {
       // The journal row is fresh (same source, same options, same
       // analyzer): restore it without recomputation. A digest mismatch
       // -- the module changed between the kill and the resume -- falls
       // through to a full re-analysis.
-      restoreFromCheckpoint(Results[I], It->second);
       if (Opts.Events)
         Opts.Events->event("module-resumed")
             .num("module", I)

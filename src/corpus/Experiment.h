@@ -92,6 +92,10 @@ struct ModuleModeResult {
   /// ModuleAnalysisOptions::CollectMetrics): counters and histograms,
   /// never timings, so merged corpus metrics are deterministic.
   MetricsRegistry Metrics;
+  /// Whether Metrics was collected: true even when nothing was recorded
+  /// (a parse error reaches no solver), so a stored outcome tells "no
+  /// metrics" apart from "metrics not collected".
+  bool HasMetrics = false;
 };
 ModuleModeResult analyzeModuleAllModes(const std::string &Source);
 ModuleModeResult analyzeModuleAllModes(const std::string &Source,
@@ -130,9 +134,14 @@ struct ModuleOutcome {
 ///             <statslen> <metricslen>\n
 ///   <error><failed-phase><stats><metrics>
 ///
-/// \p Index is the module's position in the full corpus (global, so
-/// shard files can be merged back into corpus order).
-std::string serializeModuleOutcome(const ModuleOutcome &O, uint32_t Index);
+/// The one module-outcome format: the worker wire, shard files, `m-`
+/// cache entries and checkpoint rows all carry it. The metrics blob is
+/// present exactly when ModuleModeResult::HasMetrics. \p Index is the
+/// module's position in the full corpus (global, so shard files can be
+/// merged back into corpus order). Stored records (cache entries,
+/// checkpoint rows) write index 0 and no stats.
+std::string serializeModuleOutcome(const ModuleOutcome &O, uint32_t Index,
+                                   bool WithStats = true);
 
 /// Result of an incremental parse over a byte stream.
 enum class WireParse : uint8_t {
@@ -145,6 +154,24 @@ enum class WireParse : uint8_t {
 WireParse parseModuleOutcome(std::string_view Buf, size_t &Consumed,
                              uint32_t &Index, ModuleOutcome &O);
 
+/// Where a stored module record is read back from.
+enum class RecordSource : uint8_t {
+  Cache,     ///< an `m-` result-cache entry
+  Checkpoint ///< the record of a checkpoint journal row
+};
+
+/// The one restore path for stored module records: replaces \p Slot
+/// with \p Record and returns true when the record is one whole outcome
+/// that can serve this run. A cache entry serves only deterministic
+/// outcomes (success, parse and type errors); a record without metrics
+/// cannot serve a run that collects them (\p WantMetrics), and a run
+/// that does not drops them. Freshness is the caller's lookup key (the
+/// `m-` key is the content digest; journal rows are found by digest).
+/// A restored cache entry is a CacheUse::Hit; a restored row is Resumed
+/// and keeps Retried. No stats or run-local flags are restored.
+bool restoreModuleRecord(std::string_view Record, RecordSource From,
+                         bool WantMetrics, ModuleOutcome &Slot);
+
 /// One row of the experiment.
 struct ModuleResult {
   std::string Name;
@@ -156,8 +183,8 @@ struct ModuleResult {
   FailureKind Failure = FailureKind::None;
   /// Whether the module's analysis was retried after a transient failure.
   bool Retried = false;
-  /// Failure detail for stderr reporting (empty for resumed rows; not
-  /// part of the deterministic report).
+  /// Failure detail for stderr reporting (not part of the deterministic
+  /// report).
   std::string Error;
 };
 
@@ -281,7 +308,7 @@ struct ExperimentOptions {
   std::string TraceDir;
   /// Optional persistent per-module result cache: a module whose
   /// moduleContentDigest() matches a stored entry is restored instead of
-  /// re-analyzed (including its serialized metrics registry, so merged
+  /// re-analyzed (restoreModuleRecord, metrics included, so merged
   /// corpus metrics stay byte-identical). Only deterministic outcomes --
   /// success, parse errors, type errors -- are ever stored; budget
   /// aborts, internal errors, and retried modules are not. Ignored
@@ -346,29 +373,22 @@ CorpusSummary aggregateModuleOutcomes(const std::vector<ModuleSpec> &Corpus,
 // Checkpoint journal
 //===----------------------------------------------------------------------===//
 
-/// One journaled checkpoint row. A resumed run restores the row only
-/// when the stored digest still equals the module's current
-/// moduleContentDigest: a module whose source or options changed
-/// between the kill and the resume is re-analyzed, never trusted.
-struct CheckpointRow {
-  std::string Digest;
-  FailureKind Failure = FailureKind::None; ///< None = succeeded
-  bool Retried = false;
-  ModeCounts Counts;
-};
-
-/// Loads a checkpoint journal (silently empty when the file does not
-/// exist yet). Malformed or torn rows -- including a final line cut
-/// short by a kill mid-write -- are skipped, so the corresponding
-/// modules are simply re-analyzed; every accepted row carries the
-/// trailing integrity sentinel the writer appends.
-std::unordered_map<std::string, CheckpointRow>
-loadCheckpointJournal(const std::string &Path);
-
-/// Appending, durable checkpoint writer: every row is written with a
-/// trailing sentinel in one write(2) and fsync'ed before append()
+/// The checkpoint journal of a resumable run. Each row is
+///
+///   checkpoint <digest> <namelen>\n<name><record>
+///
+/// where <digest> is the module's moduleContentDigest when the row was
+/// written and <record> its outcome record (serializeModuleOutcome,
+/// without stats). A resumed run restores a row only when that digest
+/// still equals the module's current one: a module whose source or
+/// options changed between the kill and the resume is re-analyzed,
+/// never trusted.
+///
+/// Rows are appended in one write(2) each and fsync'ed before append()
 /// returns, so a row either survives a crash completely or is a torn
-/// tail the loader skips. Thread-safe.
+/// tail. open() never restores a torn tail and cuts it off before the
+/// first append, so later rows load; a line that does not parse as a
+/// row (an older format) is skipped. append() is thread-safe.
 class CheckpointJournal {
 public:
   CheckpointJournal() = default;
@@ -376,25 +396,36 @@ public:
   CheckpointJournal(const CheckpointJournal &) = delete;
   CheckpointJournal &operator=(const CheckpointJournal &) = delete;
 
-  /// Opens \p Path for appending; false when it cannot be written.
+  /// Loads the rows at \p Path (a missing file is an empty journal) and
+  /// opens it for appending; false when it cannot be written (the loaded
+  /// rows still serve find()).
   bool open(const std::string &Path);
-  bool isOpen() const { return Fd >= 0; }
+  /// The record of \p Name's last complete row when that row's digest
+  /// is \p Digest; empty (which restores nothing) otherwise.
+  std::string_view find(const std::string &Name,
+                        const std::string &Digest) const;
   /// Journals one completed module. No-op when not open.
   void append(const std::string &Name, const std::string &Digest,
               const ModuleOutcome &O);
   void close();
 
 private:
+  struct Row {
+    std::string_view Digest;
+    std::string_view Record;
+  };
+  /// The journal's bytes as loaded; Rows views into them.
+  std::string Loaded;
+  std::unordered_map<std::string_view, Row> Rows;
   int Fd = -1;
   std::mutex Mutex;
 };
 
 /// The content digest identifying one module's analysis under \p Opts: a
-/// digest of the analyzer version, the canonical option fingerprints of
-/// both mode pipelines (CheckAnnotations and Infer, each carrying
-/// Opts.Limits), and the module source. This is both the result-cache
-/// key ("m-" namespace) and the freshness digest stored in checkpoint
-/// journal rows, so "safe to reuse" means the same thing everywhere.
+/// digest of experimentOptionsDigest(Opts) and the module source. This
+/// is both the result-cache key ("m-" namespace) and the freshness
+/// digest stored in checkpoint journal rows, so "safe to reuse" means
+/// the same thing everywhere.
 std::string moduleContentDigest(const ModuleSpec &Spec,
                                 const ExperimentOptions &Opts);
 

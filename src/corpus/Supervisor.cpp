@@ -114,25 +114,19 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
   std::vector<std::string> Digests(N);
   CheckpointJournal Journal;
   if (!Opts.CheckpointFile.empty()) {
-    auto Resumed = loadCheckpointJournal(Opts.CheckpointFile);
-    for (size_t I = 0; I < N; ++I) {
-      Digests[I] = moduleContentDigest(Corpus[I], Opts);
-      auto It = Resumed.find(Corpus[I].Name);
-      if (It == Resumed.end() || It->second.Digest != Digests[I])
-        continue;
-      ModuleOutcome &O = Outcomes[I];
-      O.Resumed = true;
-      O.Retried = It->second.Retried;
-      O.R.Ok = It->second.Failure == FailureKind::None;
-      O.R.Failure = It->second.Failure;
-      O.R.Counts = It->second.Counts;
-      Done[I] = 1;
-      ++Completed;
-    }
     if (!Journal.open(Opts.CheckpointFile))
       std::fprintf(stderr,
                    "lna-corpus: warning: cannot append to checkpoint '%s'\n",
                    Opts.CheckpointFile.c_str());
+    for (size_t I = 0; I < N; ++I) {
+      Digests[I] = moduleContentDigest(Corpus[I], Opts);
+      if (restoreModuleRecord(Journal.find(Corpus[I].Name, Digests[I]),
+                              RecordSource::Checkpoint, Opts.CollectMetrics,
+                              Outcomes[I])) {
+        Done[I] = 1;
+        ++Completed;
+      }
+    }
   }
 
   std::deque<uint32_t> Queue;
@@ -324,6 +318,9 @@ lna::runSupervisedExperiment(const std::vector<ModuleSpec> &Corpus,
         O.R.Ok = false;
         O.R.Failure = FailureKind::Crashed;
         O.R.FailedPhase = S.LastPhase;
+        // Its empty metrics are complete: a --metrics-out resume restores
+        // the quarantine rather than crash workers on the module again.
+        O.R.HasMetrics = Opts.CollectMetrics;
         O.R.Error =
             S.TimedOut
                 ? "worker exceeded the " +

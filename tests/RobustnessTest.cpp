@@ -23,6 +23,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -573,6 +574,7 @@ TEST(CorpusRobustness, CheckpointResumeMatchesUninterruptedRun) {
 
 TEST(CorpusRobustness, CheckpointRowsWithFreshDigestRestoreWithoutRecompute) {
   std::string Journal = tempPath("lna_ckpt_trust.txt");
+  std::remove(Journal.c_str());
   std::vector<ModuleSpec> Corpus = corpusSlice(2);
   ExperimentOptions Opts;
   Opts.CheckpointFile = Journal;
@@ -580,9 +582,12 @@ TEST(CorpusRobustness, CheckpointRowsWithFreshDigestRestoreWithoutRecompute) {
     // A forged journal row with counts no real analysis would produce,
     // but carrying the module's true content digest: if the counts show
     // up verbatim, the module was restored, not re-run.
-    std::ofstream Out(Journal, std::ios::trunc);
-    Out << Corpus[0].Name << '\t' << moduleContentDigest(Corpus[0], Opts)
-        << "\tok\t0\t77\t66\t55\tend\n";
+    CheckpointJournal J;
+    ASSERT_TRUE(J.open(Journal));
+    ModuleOutcome Forged;
+    Forged.R.Ok = true;
+    Forged.R.Counts = {77, 66, 55};
+    J.append(Corpus[0].Name, moduleContentDigest(Corpus[0], Opts), Forged);
   }
   CorpusSummary S = runCorpusExperiment(Corpus, Opts);
   EXPECT_EQ(S.ResumedModules, 1u);
@@ -631,22 +636,68 @@ TEST(CorpusRobustness, CheckpointDigestChangesWithOptions) {
 
 TEST(CorpusRobustness, MalformedJournalLinesAreSkipped) {
   std::string Journal = tempPath("lna_ckpt_torn.txt");
+  std::string Scratch = tempPath("lna_ckpt_torn_rows.txt");
   std::vector<ModuleSpec> Corpus = corpusSlice(3);
   ExperimentOptions Opts;
   Opts.CheckpointFile = Journal;
+  // Whole codec rows for modules 0 and 2, read back as bytes.
+  auto RowBytes = [&](const ModuleSpec &M) {
+    std::remove(Scratch.c_str());
+    CheckpointJournal J;
+    ModuleOutcome Row;
+    Row.R.Ok = true;
+    Row.R.Counts = {1, 1, 1};
+    if (J.open(Scratch))
+      J.append(M.Name, moduleContentDigest(M, Opts), Row);
+    std::ifstream In(Scratch, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(In),
+                       std::istreambuf_iterator<char>());
+  };
+  std::string Whole = RowBytes(Corpus[0]);
+  std::string Torn = RowBytes(Corpus[2]);
+  ASSERT_FALSE(Whole.empty());
   {
-    std::ofstream Out(Journal, std::ios::trunc);
-    Out << Corpus[0].Name << '\t' << moduleContentDigest(Corpus[0], Opts)
-        << "\tok\t0\t1\t1\t1\tend\n";
-    // A row in the old sentinel-less journal format: skipped
-    // (re-analyzed), never misparsed into a bogus restore.
+    std::ofstream Out(Journal, std::ios::binary | std::ios::trunc);
+    // A row in the old tab-separated format: skipped (re-analyzed),
+    // never misparsed into a bogus restore, and the rows after it load.
     Out << Corpus[1].Name << '\t' << moduleContentDigest(Corpus[1], Opts)
-        << "\tok\t0\t1\t1\t1\n";
-    Out << Corpus[2].Name << "\tok"; // torn final write
+        << "\tok\t0\t1\t1\t1\tend\n";
+    Out << Whole;
+    Out << Torn.substr(0, Torn.size() / 2); // torn final write
   }
   CorpusSummary S = runCorpusExperiment(Corpus, Opts);
   EXPECT_EQ(S.ResumedModules, 1u); // torn and old-format rows re-analyze
   EXPECT_EQ(S.FailedModules, 0u);
+  std::remove(Journal.c_str());
+  std::remove(Scratch.c_str());
+}
+
+TEST(CorpusRobustness, RowsAppendedAfterATornTailLoadOnTheNextResume) {
+  // Regression: the first row a resumed run appended after a torn tail
+  // was glued onto the fragment, so the next resume re-analyzed it.
+  std::string Journal = tempPath("lna_ckpt_glued.txt");
+  std::remove(Journal.c_str());
+  std::vector<ModuleSpec> Corpus = corpusSlice(12);
+  ExperimentOptions Opts;
+  Opts.CheckpointFile = Journal;
+  EXPECT_EQ(runCorpusExperiment(Corpus, Opts).ResumedModules, 0u);
+
+  // A kill mid-write persisted all but the last bytes of the final row.
+  std::string Bytes;
+  {
+    std::ifstream In(Journal, std::ios::binary);
+    Bytes.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(Bytes.size(), 3u);
+  {
+    std::ofstream Out(Journal, std::ios::binary | std::ios::trunc);
+    Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size() - 3));
+  }
+  EXPECT_EQ(runCorpusExperiment(Corpus, Opts).ResumedModules, 11u);
+  // The re-analyzed module's row was appended after the torn tail; it
+  // must load like any other.
+  EXPECT_EQ(runCorpusExperiment(Corpus, Opts).ResumedModules, 12u);
   std::remove(Journal.c_str());
 }
 

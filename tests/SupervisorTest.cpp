@@ -16,6 +16,7 @@
 
 #include "corpus/Supervisor.h"
 #include "obs/EventJournal.h"
+#include "support/FileIO.h"
 #include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
@@ -211,38 +212,118 @@ TEST(OutcomeWireTest, StatsSerializationRoundTripsExactly) {
 // Checkpoint journal hardening
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+std::string readFile(const std::string &Path) {
+  std::string Bytes;
+  readWholeFile(Path, Bytes);
+  return Bytes;
+}
+
+void writeFile(const std::string &Path, std::string_view Bytes) {
+  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
+  Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+std::string digestOf(char C) { return std::string(32, C); }
+
+/// A finished module as a worker reports it: stats, metrics and failure
+/// detail included.
+ModuleOutcome journaledOutcome(uint32_t Seed) {
+  ModuleOutcome O = sampleOutcome();
+  O.R.Counts = {Seed, Seed + 1, Seed + 2};
+  O.R.HasMetrics = true;
+  O.R.Metrics.addCounter("unifications", Seed);
+  O.R.Metrics.recordValue("effect-set-size", 3);
+  return O;
+}
+
+} // namespace
+
 TEST(JournalTest, TornFinalRowIsSkippedOnResume) {
   std::string Path = scratchPath("torn.journal");
   std::remove(Path.c_str());
+  ModuleOutcome Ok;
+  Ok.R.Ok = true;
+  Ok.R.Counts = {5, 1, 0};
   {
     CheckpointJournal J;
     ASSERT_TRUE(J.open(Path));
-    ModuleOutcome Ok;
-    Ok.R.Ok = true;
-    Ok.R.Counts = {5, 1, 0};
-    J.append("mod_a", std::string(32, 'a'), Ok);
-    J.append("mod_b", std::string(32, 'b'), Ok);
+    J.append("mod_a", digestOf('a'), Ok);
+    J.append("mod_b", digestOf('b'), Ok);
   }
-  auto Full = loadCheckpointJournal(Path);
-  ASSERT_EQ(Full.size(), 2u);
+  {
+    CheckpointJournal Full;
+    ASSERT_TRUE(Full.open(Path));
+    EXPECT_FALSE(Full.find("mod_a", digestOf('a')).empty());
+    EXPECT_FALSE(Full.find("mod_b", digestOf('b')).empty());
+    // A row serves only the digest it was written under.
+    EXPECT_TRUE(Full.find("mod_a", digestOf('b')).empty());
+  }
 
-  // Cut the final row mid-write -- after its last numeric field but
-  // before the integrity sentinel. All numeric fields parse, so only
-  // the sentinel check can tell the row was torn.
-  std::ifstream In(Path, std::ios::binary);
-  std::string Bytes((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-  In.close();
-  size_t End = Bytes.rfind("\tend\n");
-  ASSERT_NE(End, std::string::npos);
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(Bytes.data(), static_cast<std::streamsize>(End));
-  Out.close();
+  // Cut the final row one byte short. Its headers are whole, so only
+  // the record's length framing can tell the row was torn.
+  std::string Bytes = readFile(Path);
+  writeFile(Path, std::string_view(Bytes).substr(0, Bytes.size() - 1));
+  {
+    CheckpointJournal Torn;
+    ASSERT_TRUE(Torn.open(Path));
+    EXPECT_FALSE(Torn.find("mod_a", digestOf('a')).empty());
+    EXPECT_TRUE(Torn.find("mod_b", digestOf('b')).empty()); // re-analyzed
+    Torn.append("mod_c", digestOf('c'), Ok);
+  }
+  // The row appended after the torn tail loads on the next resume.
+  CheckpointJournal Next;
+  ASSERT_TRUE(Next.open(Path));
+  EXPECT_FALSE(Next.find("mod_a", digestOf('a')).empty());
+  EXPECT_TRUE(Next.find("mod_b", digestOf('b')).empty());
+  EXPECT_FALSE(Next.find("mod_c", digestOf('c')).empty());
+  std::remove(Path.c_str());
+}
 
-  auto Torn = loadCheckpointJournal(Path);
-  ASSERT_EQ(Torn.size(), 1u);
-  EXPECT_EQ(Torn.count("mod_a"), 1u);
-  EXPECT_EQ(Torn.count("mod_b"), 0u); // torn -> re-analyzed, not trusted
+TEST(JournalTest, TruncationAtEveryByteRestoresOnlyWholeRows) {
+  // A journal cut at every byte restores exactly the rows wholly before
+  // the cut, each intact, and open() trims the torn rest.
+  std::string Path = scratchPath("cut.journal");
+  std::remove(Path.c_str());
+  const std::string Names[] = {"mod_a", "mod_b", "mod_c"};
+  std::vector<ModuleOutcome> Written;
+  std::vector<size_t> RowEnd;
+  {
+    CheckpointJournal J;
+    ASSERT_TRUE(J.open(Path));
+    for (uint32_t I = 0; I < 3; ++I) {
+      Written.push_back(journaledOutcome(I));
+      J.append(Names[I], digestOf(static_cast<char>('a' + I)), Written[I]);
+      RowEnd.push_back(readFile(Path).size());
+    }
+  }
+  std::string Bytes = readFile(Path);
+  for (size_t Cut = 0; Cut <= Bytes.size(); ++Cut) {
+    writeFile(Path, std::string_view(Bytes).substr(0, Cut));
+    CheckpointJournal J;
+    ASSERT_TRUE(J.open(Path));
+    size_t Whole = 0;
+    for (uint32_t I = 0; I < 3; ++I) {
+      ModuleOutcome Back;
+      bool Restored = restoreModuleRecord(
+          J.find(Names[I], digestOf(static_cast<char>('a' + I))),
+          RecordSource::Checkpoint, /*WantMetrics=*/true, Back);
+      ASSERT_EQ(Restored, Cut >= RowEnd[I]) << "row " << I << ", cut " << Cut;
+      if (!Restored)
+        continue;
+      Whole = RowEnd[I];
+      EXPECT_TRUE(Back.Resumed);
+      EXPECT_TRUE(Back.Retried);
+      EXPECT_EQ(Back.R.Failure, Written[I].R.Failure);
+      EXPECT_EQ(Back.R.Error, Written[I].R.Error);
+      EXPECT_EQ(Back.R.FailedPhase, Written[I].R.FailedPhase);
+      EXPECT_TRUE(Back.R.Counts == Written[I].R.Counts);
+      EXPECT_EQ(Back.R.Metrics.renderJSON(), Written[I].R.Metrics.renderJSON());
+      EXPECT_TRUE(Back.R.Stats.empty());
+    }
+    EXPECT_EQ(readFile(Path).size(), Whole) << "cut " << Cut;
+  }
   std::remove(Path.c_str());
 }
 
@@ -258,24 +339,22 @@ TEST(JournalTest, TruncatedResumeReanalyzesAndMatches) {
   std::string FirstReport =
       renderCorpusReport(runCorpusExperiment(Corpus, Opts));
 
-  // Drop the last two journal lines (simulating a kill mid-write), then
-  // resume over the same slice.
-  std::ifstream In(Path);
-  std::vector<std::string> Lines;
-  for (std::string L; std::getline(In, L);)
-    Lines.push_back(L);
-  In.close();
-  ASSERT_GE(Lines.size(), 3u);
-  std::ofstream Out(Path, std::ios::trunc);
-  for (size_t I = 0; I + 2 < Lines.size(); ++I)
-    Out << Lines[I] << '\n';
-  // ... and a torn fragment of what would have been the next row.
-  Out << "drv_torn\t" << std::string(32, 'c') << "\tok\t0\t3";
-  Out.close();
+  // Drop the last two rows (simulating a kill mid-write) and leave a
+  // torn fragment of the first dropped one, then resume over the same
+  // slice. Rows are journaled in module order at one job.
+  std::string Bytes = readFile(Path);
+  auto RowOf = [&](const ModuleSpec &M) {
+    return Bytes.find("checkpoint " + moduleContentDigest(M, Opts));
+  };
+  size_t Dropped = RowOf(Corpus[6]);
+  size_t Next = RowOf(Corpus[7]);
+  ASSERT_NE(Dropped, std::string::npos);
+  ASSERT_NE(Next, std::string::npos);
+  writeFile(Path, std::string_view(Bytes).substr(0, (Dropped + Next) / 2));
 
   CorpusSummary Resumed = runCorpusExperiment(Corpus, Opts);
   EXPECT_EQ(renderCorpusReport(Resumed), FirstReport);
-  EXPECT_EQ(Resumed.ResumedModules, Lines.size() - 2);
+  EXPECT_EQ(Resumed.ResumedModules, 6u);
   std::remove(Path.c_str());
 }
 
@@ -388,21 +467,34 @@ TEST(SupervisorTest, CheckpointResumeSkipsFinishedModules) {
 
   ExperimentOptions Opts;
   Opts.CheckpointFile = Path;
+  Opts.CollectMetrics = true;
   SupervisorOptions Sup;
   Sup.Workers = 2;
-  Sup.WorkerArgv = workerArgv(N);
+  // Some modules fail (injected internal errors), so the journal also
+  // carries failure detail.
+  Sup.WorkerArgv = workerArgv(N, "--inject-faults=seed=7,internal=50000");
 
   SupervisedResult First = runSupervisedExperiment(Corpus, Opts, Sup);
   ASSERT_TRUE(First.Ok) << First.Error;
   EXPECT_EQ(First.Summary.ResumedModules, 0u);
+  ASSERT_GT(First.Summary.FailedModules, 0u);
+  ASSERT_LT(First.Summary.FailedModules, N);
+  ASSERT_FALSE(First.Summary.Metrics.empty());
 
   // Second run resumes everything: no workers have any module to run,
-  // and the rendered report is identical (resume is invisible).
+  // and the rendered report is identical (resume is invisible). So are
+  // the merged metrics and every module's failure detail.
   SupervisedResult Second = runSupervisedExperiment(Corpus, Opts, Sup);
   ASSERT_TRUE(Second.Ok) << Second.Error;
   EXPECT_EQ(Second.Summary.ResumedModules, N);
   EXPECT_EQ(renderCorpusReport(Second.Summary),
             renderCorpusReport(First.Summary));
+  EXPECT_EQ(Second.Summary.Metrics.renderJSON(),
+            First.Summary.Metrics.renderJSON());
+  for (uint32_t I = 0; I < N; ++I) {
+    EXPECT_EQ(Second.Summary.Modules[I].Error, First.Summary.Modules[I].Error)
+        << Corpus[I].Name;
+  }
   std::remove(Path.c_str());
 }
 

@@ -60,6 +60,10 @@
 #     zero quarantines at this kill rate, observability byte-invisible).
 #     The event journal is validated line by line as JSON with monotonic
 #     timestamps and the merged fleet trace as one JSON document.
+#     Then a supervised checkpoint resume: half the corpus under
+#     --workers=4 --checkpoint --metrics-out, resumed over the full
+#     corpus, must match the uninterrupted run's report and metrics byte
+#     for byte (the supervisor frames the journal's raw bytes from disk).
 #  9. Serve stage: the `serve`-labeled suite under asan-ubsan (wire
 #     protocol parsing of untrusted client bytes, the hot store, the
 #     request-boundary obs scrub, concurrent clients), then a live
@@ -232,7 +236,8 @@ echo "== asan-ubsan: full-corpus chaos audit (workers + kills + observability) =
 CHAOS_TRACE_DIR=build-asan-ubsan/chaos_traces
 rm -rf "$CHAOS_TRACE_DIR"
 mkdir -p "$CHAOS_TRACE_DIR"
-./build-asan-ubsan/tools/lna-corpus 2> /dev/null \
+./build-asan-ubsan/tools/lna-corpus \
+  --metrics-out=build-asan-ubsan/chaos_base.metrics 2> /dev/null \
   | grep -v wall-clock > build-asan-ubsan/chaos_base.txt
 ./build-asan-ubsan/tools/lna-corpus --workers=4 \
   --inject-faults=seed=1,kill=2000 \
@@ -258,6 +263,19 @@ assert spawns >= deaths, f"more deaths ({deaths}) than spawns ({spawns})"
 PY
   python3 -m json.tool "$CHAOS_TRACE_DIR/fleet.trace.json" > /dev/null
 fi
+
+echo "== asan-ubsan: supervised checkpoint resume (report + metrics) =="
+RESUME_JOURNAL=build-asan-ubsan/chaos_resume.journal
+rm -f "$RESUME_JOURNAL"
+./build-asan-ubsan/tools/lna-corpus --limit=294 --workers=4 \
+  --checkpoint="$RESUME_JOURNAL" \
+  --metrics-out=build-asan-ubsan/chaos_half.metrics > /dev/null 2>&1
+./build-asan-ubsan/tools/lna-corpus --workers=4 \
+  --checkpoint="$RESUME_JOURNAL" \
+  --metrics-out=build-asan-ubsan/chaos_resumed.metrics 2> /dev/null \
+  | grep -v wall-clock > build-asan-ubsan/chaos_resumed.txt
+cmp build-asan-ubsan/chaos_base.txt build-asan-ubsan/chaos_resumed.txt
+cmp build-asan-ubsan/chaos_base.metrics build-asan-ubsan/chaos_resumed.metrics
 
 echo "== asan-ubsan: serve suite =="
 ctest --test-dir build-asan-ubsan --output-on-failure -L serve
